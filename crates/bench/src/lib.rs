@@ -5,18 +5,26 @@
 //! binary can verify the vectorized engine's steady-state hot loops are
 //! allocation-free (the buffer pool actually recycles). It is *not* wired
 //! into any library crate — only binaries that opt in via
-//! `#[global_allocator]` pay the two relaxed atomic increments per
-//! allocation.
+//! `#[global_allocator]` and then call [`CountingAlloc::start_counting`]
+//! pay the two relaxed atomic increments per allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A [`System`]-delegating allocator that counts allocation events and
 /// allocated bytes. `realloc` counts as one event (it may move); `dealloc`
 /// is free. Counters wrap at `u64::MAX` (never reached in practice) and
 /// are read with [`CountingAlloc::snapshot`] deltas around a measured
 /// region.
+///
+/// Counting starts off. Once on, every thread writes both counters on
+/// every allocation, which contends across cores: the `snails` binary
+/// turns it on only for `snails bench`, so `snails serve` worker threads
+/// merely read the flag. The struct gets a cache line of its own so that
+/// flag read never shares a line with data other threads write.
+#[repr(align(64))]
 pub struct CountingAlloc {
+    counting: AtomicBool,
     allocs: AtomicU64,
     bytes: AtomicU64,
 }
@@ -45,7 +53,23 @@ impl CountingAlloc {
     /// A zeroed counter set, usable in `static` position.
     #[must_use]
     pub const fn new() -> CountingAlloc {
-        CountingAlloc { allocs: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+        CountingAlloc {
+            counting: AtomicBool::new(false),
+            allocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
+    }
+
+    /// Count every allocation from now on.
+    pub fn start_counting(&self) {
+        self.counting.store(true, Ordering::Relaxed);
+    }
+
+    fn count(&self, bytes: usize) {
+        if self.counting.load(Ordering::Relaxed) {
+            self.allocs.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// Read both counters.
@@ -67,20 +91,17 @@ impl Default for CountingAlloc {
 // returned pointers or layouts.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        self.count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(new_size as u64, Ordering::Relaxed);
+        self.count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -160,6 +181,15 @@ mod tests {
     fn counts_events_and_bytes() {
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
+        // Off until started: delegation only.
+        // SAFETY: `p` comes from this allocator with `layout` and is freed once.
+        unsafe {
+            let p = a.alloc(layout);
+            assert!(!p.is_null());
+            a.dealloc(p, layout);
+        }
+        assert_eq!(a.snapshot(), AllocSnapshot { allocs: 0, bytes: 0 });
+        a.start_counting();
         let before = a.snapshot();
         unsafe {
             let p = a.alloc(layout);

@@ -67,9 +67,9 @@ pub struct BenchmarkConfig {
     /// grid fingerprint: cache contents only affect speed, never record
     /// content or order, so checkpoints remain valid across capacities.
     pub cache_capacity: Option<usize>,
-    /// Run predicted queries through the cost-based planner
-    /// (DESIGN.md §10). On by default; results are byte-identical either
-    /// way, so this too stays out of the grid fingerprint.
+    /// Ignored: no code reads it. It selected the cost-based planner,
+    /// which has been removed; the field remains only so existing callers
+    /// that still set it keep building. Not part of the grid fingerprint.
     pub optimize: bool,
 }
 
@@ -281,7 +281,10 @@ impl<'a> EvalContext<'a> {
         EvalContext { db, view, denat, plans: PlanCache::new() }
     }
 
-    /// Evaluate one workflow on one question.
+    /// Evaluate one workflow on one question. The predicted SQL runs under
+    /// [`ExecLimits::guarded`], the budgets the grid
+    /// ([`BenchmarkConfig::default`]) and serve tenants apply to untrusted
+    /// model output, so the record equals the matching grid cell's.
     pub fn evaluate(
         &self,
         workflow: Workflow,
@@ -296,7 +299,7 @@ impl<'a> EvalContext<'a> {
             pair,
             seed,
             &self.plans,
-            ExecOptions { limits: ExecLimits::UNLIMITED, ..Default::default() },
+            ExecOptions { limits: ExecLimits::guarded(), ..Default::default() },
         )
         .0
     }
@@ -733,11 +736,7 @@ pub fn run_benchmark_on(
             it.gold,
             it.qm,
             &it.plan,
-            ExecOptions {
-                limits: config.limits,
-                optimize: config.optimize,
-                ..Default::default()
-            },
+            ExecOptions { limits: config.limits, ..Default::default() },
             &plans,
         )
     };
@@ -1066,5 +1065,32 @@ mod tests {
             rejected * 2 <= set_matched,
             "audit rejected {rejected} of {set_matched} — too aggressive"
         );
+    }
+
+    /// The one-off entry (`evaluate_question`, behind `snails ask`) runs
+    /// predicted SQL under the grid's budgets, so it reproduces the grid's
+    /// record for the same cell exactly.
+    #[test]
+    fn evaluate_question_matches_the_grid_cell() {
+        let config = BenchmarkConfig {
+            seed: 7,
+            databases: vec!["CWO".into()],
+            variants: vec![SchemaVariant::Native, SchemaVariant::Least],
+            ..BenchmarkConfig::default()
+        };
+        let db = snails_data::build_database("CWO");
+        let run = run_benchmark_on(std::slice::from_ref(&db), &config);
+        let sampled: Vec<&QueryRecord> = run.records.iter().step_by(4).collect();
+        assert!(sampled.len() >= 100, "sampled {} cells", sampled.len());
+        for grid in sampled {
+            let workflow = *Workflow::all()
+                .iter()
+                .find(|w| w.display_name() == grid.workflow)
+                .expect("grid workflow");
+            let view = SchemaView::new(&db, grid.variant);
+            let pair = db.questions.iter().find(|p| p.id == grid.question_id).expect("question");
+            let single = evaluate_question(workflow, &db, &view, pair, config.seed);
+            assert_eq!(&single, grid, "{} {:?} q{}", grid.workflow, grid.variant, grid.question_id);
+        }
     }
 }

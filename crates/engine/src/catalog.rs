@@ -2,7 +2,6 @@
 
 use crate::batch::ColumnSet;
 use crate::error::EngineError;
-use crate::stats::{ColumnIndex, IndexCache, TableStats};
 use crate::value::{DataType, Value};
 use snails_sql::SelectStatement;
 use std::collections::HashMap;
@@ -62,15 +61,9 @@ pub struct Table {
     /// and dropped by [`Database::table_mut`] (every mutation path goes
     /// through it), so the cache can never serve stale columns.
     columnar: OnceLock<Arc<ColumnSet>>,
-    /// Planner statistics ([`Table::stats`]), cached beside the columnar
-    /// mirror and invalidated with it.
-    stats: OnceLock<Arc<TableStats>>,
-    /// Lazily built secondary hash indexes, invalidated with `columnar`.
-    indexes: IndexCache,
 }
 
-// `columnar`, `stats`, and `indexes` are pure caches of `rows`, so
-// equality ignores them.
+// `columnar` is a pure cache of `rows`, so equality ignores it.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema && self.rows == other.rows
@@ -84,8 +77,6 @@ impl Table {
             schema,
             rows: Vec::new(),
             columnar: OnceLock::new(),
-            stats: OnceLock::new(),
-            indexes: IndexCache::default(),
         }
     }
 
@@ -100,21 +91,6 @@ impl Table {
         Arc::clone(self.columnar.get_or_init(|| {
             Arc::new(ColumnSet::from_rows(self.schema.columns.len(), &self.rows))
         }))
-    }
-
-    /// Planner statistics for this table, computed from the columnar mirror
-    /// on first use and cached until the table is next mutated.
-    pub fn stats(&self) -> Arc<TableStats> {
-        Arc::clone(
-            self.stats
-                .get_or_init(|| Arc::new(TableStats::from_columns(&self.columnar()))),
-        )
-    }
-
-    /// Secondary hash index over column `col`, built lazily and cached
-    /// until the table is next mutated.
-    pub(crate) fn index(&self, col: usize) -> Arc<ColumnIndex> {
-        self.indexes.get_or_build(col, &self.columnar())
     }
 }
 
@@ -166,7 +142,7 @@ impl Database {
     }
 
     /// Mutable table lookup. Handing out `&mut` invalidates the table's
-    /// columnar, statistics, and index caches — every mutation path
+    /// columnar mirror — every mutation path
     /// (insert, bulk load, direct row edits) funnels through here, so a
     /// stale mirror is unreachable.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
@@ -175,8 +151,6 @@ impl Database {
             .map(|&i| {
                 let t = &mut self.tables[i];
                 t.columnar.take();
-                t.stats.take();
-                t.indexes.clear();
                 t
             })
     }
@@ -358,26 +332,6 @@ mod tests {
         let mut b = a.clone();
         b.columnar.take();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn stats_and_index_caches_invalidate_on_mutation() {
-        let mut db = demo();
-        db.insert("tbl_Locations", vec![Value::Int(1), Value::from("Shasta")]).unwrap();
-        let t = db.table("tbl_Locations").unwrap();
-        let s = t.stats();
-        assert_eq!(s.row_count, 1);
-        assert_eq!(s.columns[0].ndv, 1);
-        assert!(Arc::ptr_eq(&s, &t.stats()));
-        let ix = t.index(0);
-        assert_eq!(ix.map.len(), 1);
-        assert!(Arc::ptr_eq(&ix, &t.index(0)));
-        // Mutation through table_mut rebuilds both on next access.
-        db.insert("tbl_Locations", vec![Value::Int(2), Value::from("Modoc")]).unwrap();
-        let t = db.table("tbl_Locations").unwrap();
-        assert_eq!(t.stats().row_count, 2);
-        assert_eq!(t.stats().columns[0].ndv, 2);
-        assert_eq!(t.index(0).map.len(), 2);
     }
 
     #[test]

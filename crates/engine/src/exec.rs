@@ -93,22 +93,9 @@ pub struct ExecOptions {
     /// regardless of how wide the combined row is; `Some(n)` forces `n`
     /// (the A/B sweep and the equivalence tests use this).
     pub batch_size: Option<usize>,
-    /// Run vectorized query blocks as fused pipelines: `WHERE` (and the
-    /// optimizer's residual conjuncts) carry a selection vector straight
-    /// into the block tail instead of materializing an intermediate
-    /// relation per operator. On by default; results are byte-identical
-    /// either way — the flag exists for A/B timing and for the
-    /// fused-vs-unfused axis of the equivalence tests.
-    pub fusion: bool,
-    /// Run eligible compiled plans through the cost-based planner
-    /// ([`crate::optimize`]): predicate pushdown past joins, greedy join
-    /// reordering by estimated cardinality, and index/scan access-path
-    /// selection. On by default. The optimizer only engages when
-    /// `hash_join` is set and `limits` is [`ExecLimits::UNLIMITED`] —
-    /// under a finite budget the unoptimized plan runs, so *which* budget
-    /// trips first never depends on planner decisions (same gating rule
-    /// as subquery memoization; DESIGN.md §10). Results are byte-identical
-    /// either way; the flag exists for A/B timing and differential tests.
+    /// Ignored: no code reads it. It selected the cost-based planner,
+    /// which has been removed; the field remains only so existing callers
+    /// that still set it keep building.
     pub optimize: bool,
     /// Resource budgets; [`ExecLimits::UNLIMITED`] by default.
     pub limits: ExecLimits,
@@ -133,7 +120,7 @@ const BATCH_L2_BUDGET: usize = 128 * 1024;
 /// threads, or prior statements), so every batch-count telemetry key stays
 /// byte-identical across thread counts. Power-of-two result clamped to
 /// [`MIN_BATCH_SIZE`]..=[`MAX_BATCH_SIZE`]; the measured sweep behind the
-/// constants is in DESIGN.md §5 and §11.
+/// constants is in DESIGN.md §5 and §10.
 pub fn adaptive_batch_size(width: usize) -> usize {
     // ~24 bytes of scratch per row per live column (value + validity +
     // selection/key share), plus fixed per-row overhead.
@@ -151,7 +138,6 @@ impl Default for ExecOptions {
             hash_join: true,
             vectorized: true,
             batch_size: None,
-            fusion: true,
             optimize: true,
             limits: ExecLimits::UNLIMITED,
         }

@@ -20,20 +20,33 @@
 //! * derived tables, aliases, schema-qualified names, `CREATE VIEW`
 //!   (natural views, §6 / appendix H)
 //!
-//! Row counts in the SNAILS instances are small (hundreds to low thousands),
-//! so the executor fully materializes every stage. Equi-key `ON` predicates
-//! run through a build/probe hash join (order-identical to the nested loop,
-//! which remains the fallback for everything else — see [`ExecOptions`]),
-//! and grouping/dedup use typed hash keys.
+//! # Execution paths
+//!
+//! Compiled SQL ([`compile`], [`PlanCache`]) has one production path:
+//! [`CompiledPlan::execute`] runs every query block as a fused vectorized
+//! pipeline ([`vector`]) over each table's dictionary-encoded columnar
+//! mirror — scans are refcount bumps, `WHERE` emits a selection vector
+//! straight into the block tail, equi-key joins build and probe over row
+//! ids (other joins take the row runner's nested loop), and rows
+//! materialize only at the final projection.
+//!
+//! A scope the vector kernels cannot prove error-free (a subquery, a
+//! frozen plan-time error, a row-level kernel error) bails out with
+//! `Unvec` and re-runs on the row-at-a-time plan `Runner`, whose results,
+//! errors, and budget charges are the contract the vectorized path
+//! reproduces byte for byte. The same runner serves
+//! `ExecOptions { vectorized: false, .. }`, kept for A/B timing.
+//!
+//! The AST interpreter ([`execute_with`], behind [`run_sql`]) is the
+//! differential-testing oracle: the equivalence suites under `tests/`
+//! compare both compiled paths against it.
 
 pub mod batch;
 pub mod catalog;
 pub mod error;
 pub mod exec;
-pub mod optimize;
 pub mod plan;
 pub mod result;
-pub mod stats;
 pub mod value;
 pub mod vector;
 
@@ -43,9 +56,7 @@ pub use exec::{
     adaptive_batch_size, apply_ddl, execute, execute_with, ExecLimits, ExecOptions,
     MAX_BATCH_SIZE, MIN_BATCH_SIZE,
 };
-pub use optimize::{ExplainStep, Explanation};
 pub use plan::{compile, CompiledPlan, PlanCache};
-pub use stats::{ColumnStats, TableStats};
 pub use result::ResultSet;
 pub use value::{ArithOp, DataType, HashKey, Value};
 

@@ -298,16 +298,6 @@ impl CompiledPlan {
                 ),
             });
         }
-        if opts.optimize && opts.hash_join && opts.limits.is_unlimited() {
-            // Cost-based path (see `crate::optimize`): only under
-            // unlimited budgets, where pushdown/reordering cannot change
-            // which budget trips first. Returns `None` (at zero cost —
-            // nothing charged, nothing observed) when the plan is
-            // ineligible or the optimization would be a no-op.
-            if let Some(result) = crate::optimize::try_execute(self, db, opts) {
-                return result;
-            }
-        }
         if opts.vectorized {
             return crate::vector::execute_plan(self, db, opts);
         }
@@ -315,26 +305,6 @@ impl CompiledPlan {
         let result = runner.run_select(&self.root, None);
         record_statement(&runner.meter, &result);
         result
-    }
-
-    /// Explain the plan: execute it against `db` (through the cost-based
-    /// path when eligible) and report the planner's decisions with
-    /// estimated vs actual cardinalities per operator. Deterministic for
-    /// a given database + statement — byte-identical at any thread count.
-    pub fn explain(
-        &self,
-        db: &Database,
-        opts: ExecOptions,
-    ) -> Result<crate::optimize::Explanation, EngineError> {
-        if db.name != self.db_name {
-            return Err(EngineError::Catalog {
-                message: format!(
-                    "plan compiled for database {:?} executed against {:?}",
-                    self.db_name, db.name
-                ),
-            });
-        }
-        crate::optimize::explain_plan(self, db, opts)
     }
 }
 

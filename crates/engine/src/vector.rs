@@ -61,7 +61,7 @@ use crate::result::ResultSet;
 use crate::value::{HashKey, Value};
 
 /// Row-id sentinel for the NULL-padded side of an outer join.
-pub(crate) const NONE_RID: u32 = u32::MAX;
+const NONE_RID: u32 = u32::MAX;
 
 /// Execute `plan` through the vectorized engine. Entry point for
 /// [`CompiledPlan::execute`] when `opts.vectorized` is set.
@@ -84,19 +84,19 @@ pub(crate) fn execute_plan(
 /// per source, a row-id vector mapping each logical row to a physical row of
 /// that source (`NONE_RID` ≙ the all-NULL pad of an outer join). Joins and
 /// filters permute row ids; values are gathered on demand.
-pub(crate) struct Rel {
-    pub(crate) srcs: Vec<Arc<ColumnSet>>,
+struct Rel {
+    srcs: Vec<Arc<ColumnSet>>,
     /// `rowids[s][i]` = physical row of source `s` backing logical row `i`.
-    pub(crate) rowids: Vec<Vec<u32>>,
-    pub(crate) len: usize,
+    rowids: Vec<Vec<u32>>,
+    len: usize,
     /// Combined-row column `c` lives at `col_map[c] = (src, local column)`.
-    pub(crate) col_map: Vec<(u32, u32)>,
-    pub(crate) width: usize,
+    col_map: Vec<(u32, u32)>,
+    width: usize,
 }
 
 impl Rel {
     /// Wrap one columnar source 1:1 (a base-table scan).
-    pub(crate) fn from_set(cols: Arc<ColumnSet>) -> Rel {
+    fn from_set(cols: Arc<ColumnSet>) -> Rel {
         let len = cols.len;
         let width = cols.width();
         Rel {
@@ -133,33 +133,15 @@ impl Rel {
         Rel { srcs: Vec::new(), rowids: Vec::new(), len: 1, col_map: Vec::new(), width: 0 }
     }
 
-    /// Keep only the logical rows in `keep`, in order. The displaced
-    /// row-id vectors recycle through `pool`.
-    pub(crate) fn keep(self, keep: &[u32], pool: &BatchPool) -> Rel {
-        let rowids = self
-            .rowids
-            .iter()
-            .map(|ids| {
-                let mut out = pool.take_u32();
-                out.extend(keep.iter().map(|&i| ids[i as usize]));
-                out
-            })
-            .collect();
-        for ids in self.rowids {
-            pool.put_u32(ids);
-        }
-        Rel { srcs: self.srcs, rowids, len: keep.len(), col_map: self.col_map, width: self.width }
-    }
-
     /// Return the row-id vectors to `pool` once the relation is dead.
-    pub(crate) fn recycle(self, pool: &BatchPool) {
+    fn recycle(self, pool: &BatchPool) {
         for ids in self.rowids {
             pool.put_u32(ids);
         }
     }
 
     /// Reconstruct logical row `i` as the row path's combined row.
-    pub(crate) fn materialize_row(&self, i: usize) -> Vec<Value> {
+    fn materialize_row(&self, i: usize) -> Vec<Value> {
         self.col_map
             .iter()
             .map(|&(s, c)| {
@@ -174,19 +156,19 @@ impl Rel {
     }
 
     /// Reconstruct every logical row (fallback to the scalar runner).
-    pub(crate) fn materialize_all(&self) -> Vec<Vec<Value>> {
+    fn materialize_all(&self) -> Vec<Vec<Value>> {
         (0..self.len).map(|i| self.materialize_row(i)).collect()
     }
 
     /// Reconstruct the selected logical rows, in selection order (fused
     /// pipelines falling back to the scalar runner mid-pipeline).
-    pub(crate) fn materialize_sel(&self, rows: &[u32]) -> Vec<Vec<Value>> {
+    fn materialize_sel(&self, rows: &[u32]) -> Vec<Vec<Value>> {
         rows.iter().map(|&i| self.materialize_row(i as usize)).collect()
     }
 
     /// Gather combined-row column `col` at the selected logical rows into a
     /// typed vector, drawing output buffers from `pool`.
-    pub(crate) fn gather(&self, col: usize, sel: &[u32], pool: &BatchPool) -> VCol {
+    fn gather(&self, col: usize, sel: &[u32], pool: &BatchPool) -> VCol {
         let (s, c) = self.col_map[col];
         let ids = &self.rowids[s as usize];
         match &self.srcs[s as usize].cols[c as usize] {
@@ -258,7 +240,7 @@ impl Rel {
 /// An evaluated expression over a selection: one entry per selected row
 /// (`Const` broadcasts). Booleans are `I64` 0/1 with NULL as invalid,
 /// matching [`bool_value`].
-pub(crate) enum VCol {
+enum VCol {
     Const(Value),
     I64 { vals: Vec<i64>, valid: Bitmap },
     F64 { vals: Vec<f64>, valid: Bitmap },
@@ -269,13 +251,13 @@ pub(crate) enum VCol {
 /// Vector evaluation aborted: the expression needs the scalar runner
 /// (subquery, frozen error, or a row-level kernel error). Purely a control
 /// signal — the scalar replay recomputes and surfaces the exact error.
-pub(crate) struct Unvec;
+struct Unvec;
 
-pub(crate) type VRes = Result<VCol, Unvec>;
+type VRes = Result<VCol, Unvec>;
 
 impl VCol {
     /// Reconstruct the value at selection position `i`.
-    pub(crate) fn value_at(&self, i: usize) -> Value {
+    fn value_at(&self, i: usize) -> Value {
         match self {
             VCol::Const(v) => v.clone(),
             VCol::I64 { vals, valid } => {
@@ -304,7 +286,7 @@ impl VCol {
     }
 
     /// [`truth`] at selection position `i`, without materializing.
-    pub(crate) fn truth_at(&self, i: usize) -> Option<bool> {
+    fn truth_at(&self, i: usize) -> Option<bool> {
         match self {
             VCol::Const(v) => truth(v),
             VCol::I64 { vals, valid } => valid.get(i).then(|| vals[i] != 0),
@@ -316,7 +298,7 @@ impl VCol {
 
     /// Return the column's buffers to `pool` once the column is dead.
     /// Missing a call site is only a lost reuse, never a bug.
-    pub(crate) fn recycle(self, pool: &BatchPool) {
+    fn recycle(self, pool: &BatchPool) {
         match self {
             VCol::Const(_) => {}
             VCol::I64 { vals, valid } => {
@@ -459,14 +441,14 @@ fn const_lower(col: &VCol) -> Option<String> {
 /// unified on normalized f64 bits, text lowercased (a refcount bump out of
 /// the dictionary's precomputed `lower`, not a fresh `String`).
 #[derive(Debug, PartialEq, Eq, Hash, Clone)]
-pub(crate) enum VKey {
+enum VKey {
     Null,
     Num(u64),
     Str(Arc<str>),
 }
 
 impl VKey {
-    pub(crate) fn num(x: f64) -> VKey {
+    fn num(x: f64) -> VKey {
         let x = if x == 0.0 { 0.0 } else { x };
         VKey::Num(x.to_bits())
     }
@@ -474,7 +456,7 @@ impl VKey {
     /// Unmatchable as a *join* key (NULL or NaN), mirroring the row hash
     /// join's `side_key`. Group keys have no such rule — NULL groups with
     /// itself and NaN groups by bit pattern, as in [`Value::hash_key`].
-    pub(crate) fn unmatchable(&self) -> bool {
+    fn unmatchable(&self) -> bool {
         match self {
             VKey::Null => true,
             VKey::Num(bits) => f64::from_bits(*bits).is_nan(),
@@ -523,7 +505,7 @@ type FastMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<U64Hasher>>;
 const DEAD_KEY: u64 = u64::MAX;
 
 /// The key component at selection position `i`.
-pub(crate) fn key_at(col: &VCol, i: usize) -> VKey {
+fn key_at(col: &VCol, i: usize) -> VKey {
     match col {
         VCol::Const(v) => match v {
             Value::Null => VKey::Null,
@@ -563,7 +545,7 @@ pub(crate) fn key_at(col: &VCol, i: usize) -> VKey {
 
 /// A full join key: the single-component case skips the inner `Vec`.
 #[derive(PartialEq, Eq, Hash)]
-pub(crate) enum JoinKey {
+enum JoinKey {
     One(VKey),
     Many(Vec<VKey>),
 }
@@ -576,7 +558,7 @@ pub(crate) enum JoinKey {
 /// true when the subtree contains a subquery, a frozen [`CExpr::Err`], an
 /// outer-frame slot, or a construct that always errors. One forward pass —
 /// the arena is post-order, so children precede parents.
-pub(crate) fn scalar_flags(sel: &CSelect) -> Vec<bool> {
+fn scalar_flags(sel: &CSelect) -> Vec<bool> {
     let mut f = Vec::with_capacity(sel.arena.len());
     for node in &sel.arena {
         let flag = match node {
@@ -644,16 +626,16 @@ fn gexpr_scalar(g: &GExpr, flags: &[bool]) -> bool {
 /// dictionary-code kernels accumulate in `dict_rows` for the caller to
 /// flush into telemetry at its commit point (evaluation itself must stay
 /// observation-free).
-pub(crate) struct Ev<'a> {
-    pub(crate) sel: &'a CSelect,
-    pub(crate) rel: &'a Rel,
-    pub(crate) flags: &'a [bool],
-    pub(crate) pool: &'a BatchPool,
-    pub(crate) dict_rows: std::cell::Cell<u64>,
+struct Ev<'a> {
+    sel: &'a CSelect,
+    rel: &'a Rel,
+    flags: &'a [bool],
+    pool: &'a BatchPool,
+    dict_rows: std::cell::Cell<u64>,
 }
 
 impl<'a> Ev<'a> {
-    pub(crate) fn new(sel: &'a CSelect, rel: &'a Rel, flags: &'a [bool], pool: &'a BatchPool) -> Ev<'a> {
+    fn new(sel: &'a CSelect, rel: &'a Rel, flags: &'a [bool], pool: &'a BatchPool) -> Ev<'a> {
         Ev { sel, rel, flags, pool, dict_rows: std::cell::Cell::new(0) }
     }
 
@@ -663,7 +645,7 @@ impl<'a> Ev<'a> {
     }
 
     /// Evaluate node `id` at the selected logical rows.
-    pub(crate) fn eval(&self, id: ExprId, rows: &[u32]) -> VRes {
+    fn eval(&self, id: ExprId, rows: &[u32]) -> VRes {
         if self.flags[id] {
             return Err(Unvec);
         }
@@ -1200,19 +1182,13 @@ fn run_select_inner(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineEr
         snails_obs::observe(Obs::EngineOpJoinRows, rel.len as u64);
     }
 
-    // WHERE → tail. With fusion on, the filter emits a selection vector
-    // that feeds the tail directly — the intermediate filtered relation
-    // (a full set of row-id vectors) is never materialized. With fusion
-    // off, the filter materializes its output relation first (the
-    // pre-fusion operator-at-a-time shape, kept as an A/B and test axis).
+    // WHERE → tail, fused: the filter emits a selection vector that feeds
+    // the tail directly, so the intermediate filtered relation (a full set
+    // of row-id vectors) is never materialized.
     let mut fused_sel: Option<Vec<u32>> = None;
     if let Some(pred) = sel.where_clause {
-        if r.opts.fusion {
-            fused_sel = Some(filter_sel(r, sel, &rel, pred, None, batch, &flags)?);
-            snails_obs::add(Obs::EngineVecFusedPipelines, 1);
-        } else {
-            rel = filter(r, sel, rel, pred, batch, &flags)?;
-        }
+        fused_sel = Some(filter_sel(r, sel, &rel, pred, batch, &flags)?);
+        snails_obs::add(Obs::EngineVecFusedPipelines, 1);
     }
     let result = tail(r, sel, &rel, fused_sel.as_deref(), &flags);
     if let Some(s) = fused_sel {
@@ -1282,37 +1258,29 @@ fn load_source(r: &Runner<'_>, src: &CSource, batch: usize) -> Result<Rel, Engin
 }
 
 /// A filter pass producing a selection vector: bulk step charge (as the
-/// row path), then batch-at-a-time predicate evaluation over `input` (a
-/// prior pipeline stage's selection, or all rows when `None`), falling
-/// back to per-row scalar evaluation for any batch the vector kernels
-/// cannot prove error-free. The returned keep-vector comes from the
-/// runner's pool; callers hand it to the next fused stage (or to
-/// [`Rel::keep`]) and then recycle it.
-pub(crate) fn filter_sel(
+/// row path), then batch-at-a-time predicate evaluation over every row of
+/// `rel`, falling back to per-row scalar evaluation for any batch the
+/// vector kernels cannot prove error-free. The returned keep-vector comes
+/// from the runner's pool; the caller hands it to the block tail and then
+/// recycles it.
+fn filter_sel(
     r: &Runner<'_>,
     sel: &CSelect,
     rel: &Rel,
     pred: ExprId,
-    input: Option<&[u32]>,
     batch: usize,
     flags: &[bool],
 ) -> Result<Vec<u32>, EngineError> {
-    let n_input = input.map_or(rel.len, <[u32]>::len);
-    r.meter.charge_steps(n_input as u64)?;
+    r.meter.charge_steps(rel.len as u64)?;
     let ev = Ev::new(sel, rel, flags, &r.pool);
     let mut keep = r.pool.take_u32();
     let mut scratch = r.pool.take_u32();
     let mut start = 0usize;
-    while start < n_input {
-        let end = (start + batch).min(n_input);
-        let rows: &[u32] = match input {
-            Some(s) => &s[start..end],
-            None => {
-                scratch.clear();
-                scratch.extend(start as u32..end as u32);
-                &scratch
-            }
-        };
+    while start < rel.len {
+        let end = (start + batch).min(rel.len);
+        scratch.clear();
+        scratch.extend(start as u32..end as u32);
+        let rows: &[u32] = &scratch;
         let before = keep.len();
         let dict_snap = ev.dict_rows.get();
         let vcol = if flags[pred] { Err(Unvec) } else { ev.eval(pred, rows) };
@@ -1353,22 +1321,6 @@ pub(crate) fn filter_sel(
     snails_obs::observe(Obs::EngineOpFilterRows, keep.len() as u64);
     r.pool.put_u32(scratch);
     Ok(keep)
-}
-
-/// `WHERE` materializing its output relation (the unfused shape): run
-/// [`filter_sel`] over all rows, then compact the relation.
-pub(crate) fn filter(
-    r: &Runner<'_>,
-    sel: &CSelect,
-    rel: Rel,
-    pred: ExprId,
-    batch: usize,
-    flags: &[bool],
-) -> Result<Rel, EngineError> {
-    let keep = filter_sel(r, sel, &rel, pred, None, batch, flags)?;
-    let out = rel.keep(&keep, &r.pool);
-    r.pool.put_u32(keep);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1419,7 +1371,7 @@ fn join_step(
 /// the side admits: one typed [`KeyCol`] per key column, or the general
 /// tuple form `Gen` (`None` = unmatchable) when any column's shape defies
 /// the typed kernels.
-pub(crate) enum SideKeys {
+enum SideKeys {
     Cols(Vec<KeyCol>),
     Gen(Vec<Option<JoinKey>>),
 }
@@ -1430,7 +1382,7 @@ pub(crate) enum SideKeys {
 /// patterns can spuriously match). `Codes` carries dictionary-string keys
 /// as raw `u32` codes (`u32::MAX` = NULL) plus the shared dictionary —
 /// the join loop never touches an `Arc<str>`.
-pub(crate) enum KeyCol {
+enum KeyCol {
     Bits(Vec<u64>),
     Codes { codes: Vec<u32>, dict: Arc<Dict> },
 }
@@ -1439,7 +1391,7 @@ pub(crate) enum KeyCol {
 const NULL_CODE: u32 = u32::MAX;
 
 impl KeyCol {
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             KeyCol::Bits(b) => b.len(),
             KeyCol::Codes { codes, .. } => codes.len(),
@@ -1447,7 +1399,7 @@ impl KeyCol {
     }
 
     /// The [`VKey`] at row `i`, or `None` for an unmatchable component.
-    pub(crate) fn at(&self, i: usize) -> Option<VKey> {
+    fn at(&self, i: usize) -> Option<VKey> {
         match self {
             KeyCol::Bits(b) => (b[i] != DEAD_KEY).then(|| VKey::Num(b[i])),
             KeyCol::Codes { codes, dict } => (codes[i] != NULL_CODE)
@@ -1458,7 +1410,7 @@ impl KeyCol {
     /// Can `append` extend this column with a batch of this shape?
     /// (Checked for every column *before* appending any, so a mid-tuple
     /// mismatch cannot leave columns at different lengths.)
-    pub(crate) fn can_append(&self, col: &VCol) -> bool {
+    fn can_append(&self, col: &VCol) -> bool {
         match (self, col) {
             (KeyCol::Bits(_), VCol::I64 { .. } | VCol::F64 { .. }) => true,
             // An empty Bits column is shapeless: it adopts Codes form.
@@ -1469,7 +1421,7 @@ impl KeyCol {
     }
 
     /// Append one batch (shape pre-checked by [`KeyCol::can_append`]).
-    pub(crate) fn append(&mut self, col: &VCol, n: usize) {
+    fn append(&mut self, col: &VCol, n: usize) {
         if matches!(self, KeyCol::Bits(b) if b.is_empty()) {
             if let VCol::Str { dict, .. } = col {
                 *self = KeyCol::Codes { codes: Vec::new(), dict: Arc::clone(dict) };
@@ -1508,28 +1460,9 @@ impl KeyCol {
 }
 
 impl SideKeys {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            SideKeys::Cols(cols) => cols.first().map_or(0, KeyCol::len),
-            SideKeys::Gen(g) => g.len(),
-        }
-    }
-
-    /// The single-column key at row `i` (`None` = unmatchable). Only
-    /// meaningful for width-1 sides — index-probe callers guarantee that.
-    pub(crate) fn one_at(&self, i: usize) -> Option<VKey> {
-        match self {
-            SideKeys::Cols(cols) => cols[0].at(i),
-            SideKeys::Gen(g) => g[i].as_ref().map(|k| match k {
-                JoinKey::One(v) => v.clone(),
-                JoinKey::Many(_) => unreachable!("width-1 side holds One keys"),
-            }),
-        }
-    }
-
     /// Degrade to the general representation (mixed shapes across
     /// batches, or a representation pairing the join loop cannot fuse).
-    pub(crate) fn into_gen(self) -> Vec<Option<JoinKey>> {
+    fn into_gen(self) -> Vec<Option<JoinKey>> {
         match self {
             SideKeys::Gen(g) => g,
             SideKeys::Cols(cols) => {
@@ -1624,7 +1557,7 @@ fn side_keys(
 
 /// Append one batch of evaluated key columns in the general [`JoinKey`]
 /// form (`None` = any component unmatchable).
-pub(crate) fn append_gen(out: &mut Vec<Option<JoinKey>>, cols: &[VCol], n: usize) {
+fn append_gen(out: &mut Vec<Option<JoinKey>>, cols: &[VCol], n: usize) {
     if let [col] = cols {
         for i in 0..n {
             let k = key_at(col, i);
@@ -1717,9 +1650,9 @@ fn hash_join_vec(
 /// row path's `HashKey` classes are disjoint), so the string side turns
 /// all-[`DEAD_KEY`] — for emissions and charges, a live key that matches
 /// nothing is indistinguishable from a dead one. Rows streamed through
-/// the code translation accumulate into `dict_rows` (the caller decides
-/// when that telemetry commits — the optimizer's pure phase defers it).
-pub(crate) fn atom_pair(
+/// the code translation accumulate into `dict_rows` for the caller to
+/// commit to telemetry.
+fn atom_pair(
     l: KeyCol,
     right_col: KeyCol,
     build_right: bool,
@@ -1788,7 +1721,7 @@ fn translate_codes(
 /// [`DEAD_KEY`] in any column marking the whole key unmatchable.
 /// [`U64Hasher`] folds each column into its running state, so the tuple
 /// form hashes well with the same zero-cost hasher as the scalar form.
-pub(crate) trait AtomKey: Copy + Eq + std::hash::Hash {
+trait AtomKey: Copy + Eq + std::hash::Hash {
     fn dead(self) -> bool;
 }
 
@@ -1802,37 +1735,6 @@ impl AtomKey for (u64, u64) {
     fn dead(self) -> bool {
         self.0 == DEAD_KEY || self.1 == DEAD_KEY
     }
-}
-
-/// Pure inner-join build/probe over atoms: build over the right side in
-/// ascending row order, probe in left order — the same emission sequence
-/// as the generic `JoinKey` table loop — with no charges and no
-/// observability (the cost-based planner's pure phase defers both to its
-/// commit point).
-pub(crate) fn pure_inner_join_atoms<K: AtomKey>(
-    lkeys: &[K],
-    rkeys: &[K],
-    pool: &BatchPool,
-) -> Vec<(u32, u32)> {
-    let mut table: HashMap<K, Vec<u32>, std::hash::BuildHasherDefault<U64Hasher>> =
-        HashMap::default();
-    for (ri, &k) in rkeys.iter().enumerate() {
-        if !k.dead() {
-            table.entry(k).or_default().push(ri as u32);
-        }
-    }
-    let mut emits = pool.take_pairs();
-    emits.reserve(lkeys.len());
-    for (li, &k) in lkeys.iter().enumerate() {
-        if !k.dead() {
-            if let Some(hits) = table.get(&k) {
-                for &ri in hits {
-                    emits.push((li as u32, ri));
-                }
-            }
-        }
-    }
-    emits
 }
 
 /// The atom build/probe loops ([`AtomKey::dead`] = unmatchable). The build
@@ -2095,7 +1997,7 @@ fn tail_needs_scalar(sel: &CSelect, flags: &[bool]) -> bool {
 /// falls back to [`Runner::tail`] over the materialized selection, which
 /// — having made no charges yet — replays the row path's exact
 /// charge/error interleaving.
-pub(crate) fn tail(
+fn tail(
     r: &Runner<'_>,
     sel: &CSelect,
     rel: &Rel,
@@ -2199,8 +2101,7 @@ pub(crate) fn tail(
                 // Single dictionary-string key: group codes through a
                 // lazily built code→group map. Two codes sharing a
                 // lowercase form land in one group — the same
-                // case-insensitive equivalence class `HashKey` (and the
-                // NDV statistics in `crate::stats`) use.
+                // case-insensitive equivalence class `HashKey` uses.
                 [VCol::Str { codes, valid, dict }] => {
                     ev.count_dict(all.len());
                     const UNSEEN: u32 = u32::MAX;

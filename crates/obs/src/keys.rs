@@ -183,24 +183,6 @@ define_metrics! {
     /// data in the hot loop).
     EngineVecDictKernelRows => "engine.vec.dict_kernel_rows", Counter, &[], Deterministic;
 
-    // ---- engine: cost-based planner --------------------------------------
-    /// Statements executed through the cost-based plan (DESIGN.md §10).
-    EngineOptPlans => "engine.opt.plans", Counter, &[], Deterministic;
-    /// Joins placed at a different position than their FROM-clause order.
-    EngineOptJoinsReordered => "engine.opt.joins_reordered", Counter, &[], Deterministic;
-    /// WHERE conjuncts pushed below the join tree onto a base table.
-    EngineOptPredicatesPushed => "engine.opt.predicates_pushed", Counter, &[], Deterministic;
-    /// Scans replaced by a secondary-index equality probe.
-    EngineOptIndexProbes => "engine.opt.index_probes", Counter, &[], Deterministic;
-    /// Secondary hash indexes built (lazy, cached per table+column).
-    /// Assembly-classified: a checkpoint resume replays restored cells
-    /// without executing them, so the resumed process builds fewer
-    /// indexes than a fresh run — like plan compilation.
-    EngineOptIndexBuilds => "engine.opt.index_builds", Counter, &[], Assembly;
-    /// Absolute join-cardinality estimation error as a percentage of the
-    /// actual output (capped at 100000).
-    EngineOptCardErrPct => "engine.opt.card_err_pct", Histogram, PCT_BUCKETS, Deterministic;
-
     // ---- llm: resilience middleware --------------------------------------
     /// Grid cells planned by the resilience pre-pass.
     LlmCellsPlanned => "llm.cells.planned", Counter, &[], Deterministic;
@@ -252,7 +234,7 @@ define_metrics! {
     // depth, batch cap), identical at any fan-out thread count — they are
     // part of the bytes the serve determinism gates compare. In wall-clock
     // concurrent mode shed placement depends on arrival timing, so the
-    // byte-compare gates only ever run serially (DESIGN.md §12).
+    // byte-compare gates only ever run serially (DESIGN.md §11).
     /// Requests admitted into the bounded queue.
     ServeRequests => "serve.requests", Counter, &[], Deterministic;
     /// Requests shed with a typed `Overloaded` response (queue full).
@@ -404,7 +386,6 @@ mod tests {
             "engine.plan.cache_miss",
             "engine.plan.cache_eviction",
             "engine.plan.resume_warm",
-            "engine.opt.index_builds",
             "checkpoint.hit",
             "checkpoint.miss",
             "checkpoint.corrupt",

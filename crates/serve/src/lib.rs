@@ -22,7 +22,7 @@
 //!   thread counts, and transports.
 //!
 //! The determinism contract, tenancy model, and protocol grammar are
-//! documented in `DESIGN.md` §12.
+//! documented in `DESIGN.md` §11.
 
 pub mod load;
 pub mod protocol;

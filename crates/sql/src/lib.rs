@@ -32,7 +32,7 @@ pub use ast::{
     SelectStatement, Statement, TableSource, UnaryOp, UnionKind,
 };
 pub use lexer::{tokenize, LexError, Token, TokenKind};
-pub use parser::{parse, parse_select, ParseError};
+pub use parser::{parse, parse_select, ParseError, ParseErrorKind, MAX_DEPTH};
 pub use tag::{denaturalize_query, rename_identifiers, tag_query, IdentifierMap};
 
 /// Parse then re-render, normalizing whitespace and keyword case.

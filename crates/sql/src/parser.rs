@@ -4,9 +4,37 @@ use crate::ast::*;
 use crate::lexer::{tokenize, Keyword as Kw, LexError, Symbol as Sym, Token, TokenKind};
 use std::fmt;
 
+/// The deepest nesting a parsed statement may have.
+///
+/// Every consumer of the AST (the executors, the plan compiler, rendering,
+/// identifier extraction, even `Drop`) recurses once per level, so this one
+/// bound caps the stack all of them need. A level is one enclosing operator
+/// (unary, binary, comparison, `IS`/`IN`/`LIKE`/`BETWEEN`), function call,
+/// `CASE`, parenthesized group, or nested query block (subquery, derived
+/// table, `UNION` operand). A left-deep chain `a + b + … + z` costs one
+/// level per operator. Deeper input fails with
+/// [`ParseErrorKind::TooDeep`] before any deeper structure is built.
+///
+/// The deepest gold query spans 3 levels. At 64, every consumer handles a
+/// statement of any shape at the limit on a 2 MiB thread stack (the
+/// default for spawned threads, and what the serve workers get) even in
+/// an unoptimized build, where nested subqueries are the costliest shape.
+pub const MAX_DEPTH: usize = 64;
+
+/// What went wrong, for callers that branch on the failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not a statement of the dialect.
+    Syntax,
+    /// The statement nests deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
+    /// Failure class.
+    pub kind: ParseErrorKind,
     /// Human-readable message.
     pub message: String,
     /// Byte offset of the offending token (input length at EOF).
@@ -23,14 +51,14 @@ impl std::error::Error for ParseError {}
 
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
-        ParseError { message: e.message, position: e.position }
+        ParseError { kind: ParseErrorKind::Syntax, message: e.message, position: e.position }
     }
 }
 
 /// Parse a single SQL statement (`SELECT ...` or `CREATE VIEW ...`).
 pub fn parse(sql: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, input_len: sql.len() };
+    let mut p = Parser { tokens, pos: 0, input_len: sql.len(), depth: 0 };
     let stmt = p.parse_statement()?;
     p.consume_symbol_if(Sym::Semicolon);
     p.expect_eof()?;
@@ -42,16 +70,23 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement, ParseError> {
     match parse(sql)? {
         Statement::Select(s) => Ok(s),
         Statement::CreateView { .. } => Err(ParseError {
+            kind: ParseErrorKind::Syntax,
             message: "expected SELECT, found CREATE VIEW".into(),
             position: 0,
         }),
     }
 }
 
+/// A parsed node and its height: the levels (see [`MAX_DEPTH`]) it spans
+/// below its own position, 0 for a leaf.
+type Measured<T> = (T, usize);
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     input_len: usize,
+    /// Levels enclosing the node being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -76,7 +111,43 @@ impl Parser {
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
-        ParseError { message: message.into(), position: self.current_position() }
+        ParseError {
+            kind: ParseErrorKind::Syntax,
+            message: message.into(),
+            position: self.current_position(),
+        }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            kind: ParseErrorKind::TooDeep,
+            message: format!("statement nests deeper than {MAX_DEPTH} levels"),
+            position: self.current_position(),
+        }
+    }
+
+    /// Run `parse` one level deeper, refusing before recursing when that
+    /// level would exceed [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Height of a node over children at most `child` high, refused when
+    /// the node would reach past [`MAX_DEPTH`] from where it sits.
+    fn wrap(&self, child: usize) -> Result<usize, ParseError> {
+        if self.depth + child + 1 > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(child + 1)
     }
 
     fn at_keyword(&self, kw: Kw) -> bool {
@@ -148,16 +219,19 @@ impl Parser {
                 (None, first)
             };
             self.expect_keyword(Kw::As)?;
-            let query = self.parse_select_statement()?;
+            let (query, _) = self.parse_select_statement()?;
             Ok(Statement::CreateView { schema, name, query })
         } else {
-            Ok(Statement::Select(self.parse_select_statement()?))
+            Ok(Statement::Select(self.parse_select_statement()?.0))
         }
     }
 
-    fn parse_select_statement(&mut self) -> Result<SelectStatement, ParseError> {
+    /// A query block; its height is the tallest of its parts (the block
+    /// itself is a level only where it nests, see [`Self::subquery`]).
+    fn parse_select_statement(&mut self) -> Result<Measured<SelectStatement>, ParseError> {
         self.expect_keyword(Kw::Select)?;
         let mut stmt = SelectStatement::default();
+        let mut height = 0;
 
         if self.consume_keyword_if(Kw::Top) {
             match self.peek_kind() {
@@ -175,14 +249,18 @@ impl Parser {
         }
 
         loop {
-            stmt.items.push(self.parse_select_item()?);
+            let (item, h) = self.parse_select_item()?;
+            stmt.items.push(item);
+            height = height.max(h);
             if !self.consume_symbol_if(Sym::Comma) {
                 break;
             }
         }
 
         if self.consume_keyword_if(Kw::From) {
-            stmt.from = Some(self.parse_table_source()?);
+            let (from, h) = self.parse_table_source()?;
+            stmt.from = Some(from);
+            height = height.max(h);
             loop {
                 let kind = if self.consume_keyword_if(Kw::Join)
                     || (self.at_keyword(Kw::Inner) && {
@@ -209,38 +287,48 @@ impl Parser {
                 } else {
                     break;
                 };
-                let source = self.parse_table_source()?;
+                let (source, h) = self.parse_table_source()?;
+                height = height.max(h);
                 let on = if kind == JoinKind::Cross {
                     None
                 } else {
                     self.expect_keyword(Kw::On)?;
-                    Some(self.parse_expr()?)
+                    let (on, h) = self.parse_expr()?;
+                    height = height.max(h);
+                    Some(on)
                 };
                 stmt.joins.push(Join { kind, source, on });
             }
         }
 
         if self.consume_keyword_if(Kw::Where) {
-            stmt.where_clause = Some(self.parse_expr()?);
+            let (e, h) = self.parse_expr()?;
+            stmt.where_clause = Some(e);
+            height = height.max(h);
         }
         if self.at_keyword(Kw::Group) {
             self.pos += 1;
             self.expect_keyword(Kw::By)?;
             loop {
-                stmt.group_by.push(self.parse_expr()?);
+                let (e, h) = self.parse_expr()?;
+                stmt.group_by.push(e);
+                height = height.max(h);
                 if !self.consume_symbol_if(Sym::Comma) {
                     break;
                 }
             }
         }
         if self.consume_keyword_if(Kw::Having) {
-            stmt.having = Some(self.parse_expr()?);
+            let (e, h) = self.parse_expr()?;
+            stmt.having = Some(e);
+            height = height.max(h);
         }
         if self.at_keyword(Kw::Order) {
             self.pos += 1;
             self.expect_keyword(Kw::By)?;
             loop {
-                let expr = self.parse_expr()?;
+                let (expr, h) = self.parse_expr()?;
+                height = height.max(h);
                 let descending = if self.consume_keyword_if(Kw::Desc) {
                     true
                 } else {
@@ -259,15 +347,22 @@ impl Parser {
             } else {
                 UnionKind::Distinct
             };
-            let rhs = self.parse_select_statement()?;
-            stmt.union = Some((kind, Box::new(rhs)));
+            let (rhs, h) = self.subquery()?;
+            stmt.union = Some((kind, rhs));
+            height = height.max(h);
         }
-        Ok(stmt)
+        Ok((stmt, height))
     }
 
-    fn parse_select_item(&mut self) -> Result<SelectItem, ParseError> {
+    /// A nested query block: one level over its contents.
+    fn subquery(&mut self) -> Result<Measured<Box<SelectStatement>>, ParseError> {
+        let (query, h) = self.nested(Self::parse_select_statement)?;
+        Ok((Box::new(query), self.wrap(h)?))
+    }
+
+    fn parse_select_item(&mut self) -> Result<Measured<SelectItem>, ParseError> {
         if self.consume_symbol_if(Sym::Star) {
-            return Ok(SelectItem::Wildcard);
+            return Ok((SelectItem::Wildcard, 0));
         }
         // `alias.*`
         if let (Some(TokenKind::Identifier { .. }), Some(t1), Some(t2)) = (
@@ -280,10 +375,10 @@ impl Parser {
             {
                 let q = self.bump().expect("identifier").text;
                 self.pos += 2;
-                return Ok(SelectItem::QualifiedWildcard(q));
+                return Ok((SelectItem::QualifiedWildcard(q), 0));
             }
         }
-        let expr = self.parse_expr()?;
+        let (expr, height) = self.parse_expr()?;
         let alias = if self.consume_keyword_if(Kw::As) {
             Some(self.expect_identifier()?)
         } else if matches!(self.peek_kind(), Some(TokenKind::Identifier { .. })) {
@@ -291,16 +386,16 @@ impl Parser {
         } else {
             None
         };
-        Ok(SelectItem::Expr { expr, alias })
+        Ok((SelectItem::Expr { expr, alias }, height))
     }
 
-    fn parse_table_source(&mut self) -> Result<TableSource, ParseError> {
+    fn parse_table_source(&mut self) -> Result<Measured<TableSource>, ParseError> {
         if self.consume_symbol_if(Sym::LParen) {
-            let query = Box::new(self.parse_select_statement()?);
+            let (query, height) = self.subquery()?;
             self.expect_symbol(Sym::RParen)?;
             self.consume_keyword_if(Kw::As);
             let alias = self.expect_identifier()?;
-            return Ok(TableSource::Derived { query, alias });
+            return Ok((TableSource::Derived { query, alias }, height));
         }
         let first = self.expect_identifier()?;
         let (schema, name) = if self.consume_symbol_if(Sym::Dot) {
@@ -315,7 +410,7 @@ impl Parser {
         } else {
             None
         };
-        Ok(TableSource::Named { schema, name, alias })
+        Ok((TableSource::Named { schema, name, alias }, 0))
     }
 
     // Expression grammar (lowest to highest precedence):
@@ -326,33 +421,40 @@ impl Parser {
     //   additive   := multiplicative ((+|-) multiplicative)*
     //   multiplicative := unary ((*|/|%) unary)*
     //   unary      := - unary | primary
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    //
+    // Operands of a binary operator or predicate are parsed at the
+    // operator's own depth (the operator node is built after them), so
+    // each node re-checks its height against `MAX_DEPTH` in `wrap`.
+    fn parse_expr(&mut self) -> Result<Measured<Expr>, ParseError> {
         self.parse_or()
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_and()?;
+    fn parse_or(&mut self) -> Result<Measured<Expr>, ParseError> {
+        let (mut left, mut height) = self.parse_and()?;
         while self.consume_keyword_if(Kw::Or) {
-            let right = self.parse_and()?;
+            let (right, h) = self.parse_and()?;
+            height = self.wrap(height.max(h))?;
             left = Expr::binary(left, BinOp::Or, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_not()?;
+    fn parse_and(&mut self) -> Result<Measured<Expr>, ParseError> {
+        let (mut left, mut height) = self.parse_not()?;
         while self.consume_keyword_if(Kw::And) {
-            let right = self.parse_not()?;
+            let (right, h) = self.parse_not()?;
+            height = self.wrap(height.max(h))?;
             left = Expr::binary(left, BinOp::And, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_not(&mut self) -> Result<Expr, ParseError> {
+    fn parse_not(&mut self) -> Result<Measured<Expr>, ParseError> {
         if self.at_keyword(Kw::Not) && !self.next_is_exists() {
             self.pos += 1;
-            let inner = self.parse_not()?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
+            let (inner, h) = self.nested(Self::parse_not)?;
+            let expr = Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) };
+            return Ok((expr, self.wrap(h)?));
         }
         self.parse_predicate()
     }
@@ -364,7 +466,7 @@ impl Parser {
         )
     }
 
-    fn parse_predicate(&mut self) -> Result<Expr, ParseError> {
+    fn parse_predicate(&mut self) -> Result<Measured<Expr>, ParseError> {
         // [NOT] EXISTS (subquery)
         let negated_exists = self.at_keyword(Kw::Not) && self.next_is_exists();
         if negated_exists {
@@ -372,18 +474,18 @@ impl Parser {
         }
         if self.consume_keyword_if(Kw::Exists) {
             self.expect_symbol(Sym::LParen)?;
-            let query = Box::new(self.parse_select_statement()?);
+            let (query, height) = self.subquery()?;
             self.expect_symbol(Sym::RParen)?;
-            return Ok(Expr::Exists { query, negated: negated_exists });
+            return Ok((Expr::Exists { query, negated: negated_exists }, height));
         }
 
-        let left = self.parse_additive()?;
+        let (left, lh) = self.parse_additive()?;
 
         // IS [NOT] NULL
         if self.consume_keyword_if(Kw::Is) {
             let negated = self.consume_keyword_if(Kw::Not);
             self.expect_keyword(Kw::Null)?;
-            return Ok(Expr::IsNull { expr: Box::new(left), negated });
+            return Ok((Expr::IsNull { expr: Box::new(left), negated }, self.wrap(lh)?));
         }
 
         // [NOT] IN / LIKE / BETWEEN
@@ -391,32 +493,40 @@ impl Parser {
         if self.consume_keyword_if(Kw::In) {
             self.expect_symbol(Sym::LParen)?;
             if self.at_keyword(Kw::Select) {
-                let query = Box::new(self.parse_select_statement()?);
+                // The subquery block is this predicate's own level.
+                let (query, qh) = self.subquery()?;
                 self.expect_symbol(Sym::RParen)?;
-                return Ok(Expr::InSubquery { expr: Box::new(left), query, negated });
+                let height = self.wrap(lh)?.max(qh);
+                return Ok((Expr::InSubquery { expr: Box::new(left), query, negated }, height));
             }
             let mut list = Vec::new();
+            let mut height = lh;
             loop {
-                list.push(self.parse_additive()?);
+                let (item, h) = self.parse_additive()?;
+                list.push(item);
+                height = height.max(h);
                 if !self.consume_symbol_if(Sym::Comma) {
                     break;
                 }
             }
             self.expect_symbol(Sym::RParen)?;
-            return Ok(Expr::InList { expr: Box::new(left), list, negated });
+            let height = self.wrap(height)?;
+            return Ok((Expr::InList { expr: Box::new(left), list, negated }, height));
         }
         if self.consume_keyword_if(Kw::Like) {
             let pattern = match self.peek_kind() {
                 Some(TokenKind::StringLit) => self.bump().expect("string").text,
                 _ => return Err(self.error("expected string pattern after LIKE")),
             };
-            return Ok(Expr::Like { expr: Box::new(left), pattern, negated });
+            return Ok((Expr::Like { expr: Box::new(left), pattern, negated }, self.wrap(lh)?));
         }
         if self.consume_keyword_if(Kw::Between) {
-            let low = Box::new(self.parse_additive()?);
+            let (low, low_h) = self.parse_additive()?;
             self.expect_keyword(Kw::And)?;
-            let high = Box::new(self.parse_additive()?);
-            return Ok(Expr::Between { expr: Box::new(left), low, high, negated });
+            let (high, high_h) = self.parse_additive()?;
+            let height = self.wrap(lh.max(low_h).max(high_h))?;
+            let (low, high) = (Box::new(low), Box::new(high));
+            return Ok((Expr::Between { expr: Box::new(left), low, high, negated }, height));
         }
         if negated {
             return Err(self.error("expected IN, LIKE, or BETWEEN after NOT"));
@@ -434,14 +544,14 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let right = self.parse_additive()?;
-            return Ok(Expr::binary(left, op, right));
+            let (right, rh) = self.parse_additive()?;
+            return Ok((Expr::binary(left, op, right), self.wrap(lh.max(rh))?));
         }
-        Ok(left)
+        Ok((left, lh))
     }
 
-    fn parse_additive(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_multiplicative()?;
+    fn parse_additive(&mut self) -> Result<Measured<Expr>, ParseError> {
+        let (mut left, mut height) = self.parse_multiplicative()?;
         loop {
             let op = match self.peek_kind() {
                 Some(TokenKind::Symbol(Sym::Plus)) => BinOp::Add,
@@ -449,14 +559,15 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let right = self.parse_multiplicative()?;
+            let (right, h) = self.parse_multiplicative()?;
+            height = self.wrap(height.max(h))?;
             left = Expr::binary(left, op, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.parse_unary()?;
+    fn parse_multiplicative(&mut self) -> Result<Measured<Expr>, ParseError> {
+        let (mut left, mut height) = self.parse_unary()?;
         loop {
             let op = match self.peek_kind() {
                 Some(TokenKind::Symbol(Sym::Star)) => BinOp::Mul,
@@ -465,54 +576,60 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
-            let right = self.parse_unary()?;
+            let (right, h) = self.parse_unary()?;
+            height = self.wrap(height.max(h))?;
             left = Expr::binary(left, op, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Measured<Expr>, ParseError> {
         if self.consume_symbol_if(Sym::Minus) {
-            let inner = self.parse_unary()?;
+            let (inner, h) = self.nested(Self::parse_unary)?;
             // Fold negated numeric literals so `-1` parses to `Int(-1)`,
             // keeping render → parse a fixed point.
             return Ok(match inner {
-                Expr::Literal(Literal::Int(n)) => Expr::Literal(Literal::Int(-n)),
-                Expr::Literal(Literal::Float(x)) => Expr::Literal(Literal::Float(-x)),
-                other => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(other) },
+                Expr::Literal(Literal::Int(n)) => (Expr::Literal(Literal::Int(-n)), 0),
+                Expr::Literal(Literal::Float(x)) => (Expr::Literal(Literal::Float(-x)), 0),
+                other => {
+                    let expr = Expr::Unary { op: UnaryOp::Neg, expr: Box::new(other) };
+                    (expr, self.wrap(h)?)
+                }
             });
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<Measured<Expr>, ParseError> {
         match self.peek_kind().cloned() {
             Some(TokenKind::Integer(n)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Literal::Int(n)))
+                Ok((Expr::Literal(Literal::Int(n)), 0))
             }
             Some(TokenKind::Float(f)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Literal::Float(f)))
+                Ok((Expr::Literal(Literal::Float(f)), 0))
             }
             Some(TokenKind::StringLit) => {
                 let t = self.bump().expect("string");
-                Ok(Expr::Literal(Literal::Str(t.text)))
+                Ok((Expr::Literal(Literal::Str(t.text)), 0))
             }
             Some(TokenKind::Keyword(Kw::Null)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Literal::Null))
+                Ok((Expr::Literal(Literal::Null), 0))
             }
             Some(TokenKind::Symbol(Sym::LParen)) => {
                 self.pos += 1;
                 if self.at_keyword(Kw::Select) {
-                    let q = Box::new(self.parse_select_statement()?);
+                    let (q, height) = self.subquery()?;
                     self.expect_symbol(Sym::RParen)?;
-                    Ok(Expr::Subquery(q))
+                    Ok((Expr::Subquery(q), height))
                 } else {
-                    let e = self.parse_expr()?;
+                    // A parenthesized group leaves no node behind but is a
+                    // level of parser recursion, so it counts as one.
+                    let (e, h) = self.nested(Self::parse_expr)?;
                     self.expect_symbol(Sym::RParen)?;
-                    Ok(e)
+                    Ok((e, self.wrap(h)?))
                 }
             }
             Some(TokenKind::Keyword(Kw::Case)) => {
@@ -525,59 +642,65 @@ impl Parser {
     }
 
     /// `CASE [operand] WHEN e THEN e ... [ELSE e] END` (CASE consumed).
-    fn parse_case(&mut self) -> Result<Expr, ParseError> {
-        let operand = if self.at_keyword(Kw::When) {
-            None
-        } else {
-            Some(Box::new(self.parse_expr()?))
-        };
-        let mut branches = Vec::new();
-        while self.consume_keyword_if(Kw::When) {
-            let when = self.parse_expr()?;
-            self.expect_keyword(Kw::Then)?;
-            let then = self.parse_expr()?;
-            branches.push((when, then));
-        }
-        if branches.is_empty() {
-            return Err(self.error("CASE requires at least one WHEN branch"));
-        }
-        let else_expr = if self.consume_keyword_if(Kw::Else) {
-            Some(Box::new(self.parse_expr()?))
-        } else {
-            None
-        };
-        self.expect_keyword(Kw::End)?;
-        Ok(Expr::Case { operand, branches, else_expr })
+    fn parse_case(&mut self) -> Result<Measured<Expr>, ParseError> {
+        let (expr, h) = self.nested(|p| {
+            let mut height = 0;
+            let mut part = |p: &mut Self| -> Result<Expr, ParseError> {
+                let (e, h) = p.parse_expr()?;
+                height = height.max(h);
+                Ok(e)
+            };
+            let operand = if p.at_keyword(Kw::When) { None } else { Some(Box::new(part(p)?)) };
+            let mut branches = Vec::new();
+            while p.consume_keyword_if(Kw::When) {
+                let when = part(p)?;
+                p.expect_keyword(Kw::Then)?;
+                branches.push((when, part(p)?));
+            }
+            if branches.is_empty() {
+                return Err(p.error("CASE requires at least one WHEN branch"));
+            }
+            let else_expr =
+                if p.consume_keyword_if(Kw::Else) { Some(Box::new(part(p)?)) } else { None };
+            p.expect_keyword(Kw::End)?;
+            Ok((Expr::Case { operand, branches, else_expr }, height))
+        })?;
+        Ok((expr, self.wrap(h)?))
     }
 
     /// Identifier-led expressions: `col`, `tbl.col`, `FUNC(...)`.
-    fn parse_identifier_expr(&mut self) -> Result<Expr, ParseError> {
+    fn parse_identifier_expr(&mut self) -> Result<Measured<Expr>, ParseError> {
         let first = self.bump().expect("identifier").text;
         if self.consume_symbol_if(Sym::LParen) {
             // Function call.
             let name = first.to_ascii_uppercase();
             let distinct = self.consume_keyword_if(Kw::Distinct);
-            let mut args = Vec::new();
-            if !self.at_symbol(Sym::RParen) {
-                loop {
-                    if self.consume_symbol_if(Sym::Star) {
-                        args.push(FunctionArg::Wildcard);
-                    } else {
-                        args.push(FunctionArg::Expr(self.parse_expr()?));
-                    }
-                    if !self.consume_symbol_if(Sym::Comma) {
-                        break;
+            let (args, h) = self.nested(|p| {
+                let (mut args, mut height) = (Vec::new(), 0);
+                if !p.at_symbol(Sym::RParen) {
+                    loop {
+                        if p.consume_symbol_if(Sym::Star) {
+                            args.push(FunctionArg::Wildcard);
+                        } else {
+                            let (e, h) = p.parse_expr()?;
+                            args.push(FunctionArg::Expr(e));
+                            height = height.max(h);
+                        }
+                        if !p.consume_symbol_if(Sym::Comma) {
+                            break;
+                        }
                     }
                 }
-            }
+                Ok((args, height))
+            })?;
             self.expect_symbol(Sym::RParen)?;
-            return Ok(Expr::Function { name, args, distinct });
+            return Ok((Expr::Function { name, args, distinct }, self.wrap(h)?));
         }
         if self.consume_symbol_if(Sym::Dot) {
             let col = self.expect_identifier()?;
-            return Ok(Expr::Column(ColumnRef::qualified(&first, &col)));
+            return Ok((Expr::Column(ColumnRef::qualified(&first, &col)), 0));
         }
-        Ok(Expr::Column(ColumnRef::bare(&first)))
+        Ok((Expr::Column(ColumnRef::bare(&first)), 0))
     }
 }
 
@@ -831,6 +954,55 @@ mod tests {
         // Missing WHEN is an error.
         assert!(parse_select("SELECT CASE ELSE 1 END FROM t").is_err());
         assert!(parse_select("SELECT CASE WHEN a THEN 1 FROM t").is_err());
+    }
+
+    /// One statement per nesting shape, each `levels` deep.
+    fn nested_shapes(levels: usize) -> Vec<String> {
+        vec![
+            format!("SELECT {}1{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("SELECT {}1{}", "(SELECT ".repeat(levels), ")".repeat(levels)),
+            format!("SELECT a FROM t WHERE a IN {}1{}", "(SELECT ".repeat(levels), ")".repeat(levels)),
+            format!("SELECT {}a FROM t", "- ".repeat(levels)),
+            format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(levels - 1)),
+            format!("SELECT a{} FROM t", " + 1".repeat(levels)),
+            format!("SELECT a FROM t WHERE a = 1{}", " OR a = 1".repeat(levels - 1)),
+            format!("SELECT {}a{}", "ABS(".repeat(levels), ")".repeat(levels)),
+            format!("SELECT {}a{}", "CASE WHEN ".repeat(levels), " THEN 1 END".repeat(levels)),
+            format!("SELECT 1{}", " UNION SELECT 1".repeat(levels)),
+            // A parenthesized chain inside a chain: both chains' operators
+            // and the group itself count.
+            format!("SELECT (1{}){}", " + 1".repeat(levels / 2), " * 2".repeat(levels - levels / 2 - 1)),
+        ]
+    }
+
+    #[test]
+    fn nesting_up_to_max_depth_parses_and_one_more_is_too_deep() {
+        for sql in nested_shapes(MAX_DEPTH) {
+            if let Err(e) = parse(&sql) {
+                panic!("{e} at the limit: {}", &sql[..60]);
+            }
+        }
+        for sql in nested_shapes(MAX_DEPTH + 1) {
+            let err = parse(&sql).expect_err(&sql[..60]);
+            assert_eq!(err.kind, ParseErrorKind::TooDeep, "{}", &sql[..60]);
+        }
+        // Ordinary syntax errors stay syntax errors.
+        assert_eq!(parse("SELECT FROM t").unwrap_err().kind, ParseErrorKind::Syntax);
+    }
+
+    #[test]
+    fn huge_nesting_fails_typed_on_a_worker_sized_stack() {
+        // 5,000 parentheses and a 20,000-term chain used to abort the
+        // process; the parser now refuses them after MAX_DEPTH levels.
+        let parens = format!("SELECT {}1{}", "(".repeat(5_000), ")".repeat(5_000));
+        let chain = format!("SELECT 1{}", "+1".repeat(20_000));
+        let kinds = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || [parse(&parens), parse(&chain)].map(|r| r.unwrap_err().kind))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(kinds, [ParseErrorKind::TooDeep; 2]);
     }
 
     #[test]

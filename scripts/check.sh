@@ -25,6 +25,12 @@ echo "==> cargo clippy -p snails-engine --benches -- -D warnings (offline)"
 # the compiled-plan code or the criterion targets.
 cargo clippy -p snails-engine -p snails-bench --benches --offline -- -D warnings
 
+echo "==> perfbench: build and self-test the frozen benchmark (offline)"
+# The benchmark under perfbench/ reaches the system only through public
+# APIs, so building it here fails fast when a change removes or renames one
+# it uses. Same target directory as perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> snails bench --fault-profile flaky (smoke: zero aborted cells)"
 # The bench exits non-zero when any grid cell aborts without a record or
 # when parallel records diverge from serial; grep double-checks the
@@ -108,48 +114,6 @@ cmp -s "$manifest_dir/clean.txt" "$manifest_dir/merged.txt" || {
 }
 echo "    kill@200 resume and 2-way shard merge both byte-identical"
 
-echo "==> snails explain (stable across threads 1/2/8, JSON parses, est vs actual)"
-# The cost-based planner's explanation must be a pure function of the
-# plan and the statistics — never of the thread count — and the trailing
-# machine-readable line must parse and carry estimated vs actual
-# cardinalities on at least one join operator of a 3-table gold query.
-"$snails" explain KIS 32 --threads 1 > "$manifest_dir/explain1.txt"
-"$snails" explain KIS 32 --threads 2 > "$manifest_dir/explain2.txt"
-"$snails" explain KIS 32 --threads 8 > "$manifest_dir/explain8.txt"
-cmp -s "$manifest_dir/explain1.txt" "$manifest_dir/explain2.txt" || {
-    echo "error: explain output differs between --threads 1 and 2" >&2
-    exit 1
-}
-cmp -s "$manifest_dir/explain1.txt" "$manifest_dir/explain8.txt" || {
-    echo "error: explain output differs between --threads 1 and 8" >&2
-    exit 1
-}
-python3 - "$manifest_dir/explain1.txt" <<'PY'
-import json, sys
-lines = [l for l in open(sys.argv[1]) if l.startswith('{"explain":')]
-assert len(lines) == 1, "expected exactly one machine-readable explain line"
-ex = json.loads(lines[0])["explain"]
-assert ex["optimized"], "KIS question 32 should be optimizer-eligible"
-joins = [s for s in ex["steps"] if s["op"].startswith("join")]
-assert joins, "no join operators in the 3-table explain"
-for s in joins:
-    assert isinstance(s["est_rows"], (int, float)), "join step lacks est_rows"
-    assert isinstance(s["actual_rows"], int), "join step lacks actual_rows"
-print(f"    optimized 3-table plan, {len(joins)} joins, "
-      f"order {ex['join_order']}, {ex['rows_out']} rows out")
-PY
-
-echo "==> optimizer equivalence on the grid (--no-optimize byte-identical)"
-# Every grid record the optimizer touches must stay byte-identical to the
-# unoptimized run: the planner may only change how answers are computed,
-# never the answers, the match verdicts, or the manifest bytes.
-"$snails" grid --threads 4 --no-optimize --out "$manifest_dir/noopt.txt" 2> /dev/null
-cmp -s "$manifest_dir/clean.txt" "$manifest_dir/noopt.txt" || {
-    echo "error: optimizer-on grid manifest differs from --no-optimize" >&2
-    exit 1
-}
-echo "    optimizer-on and --no-optimize grid manifests byte-identical"
-
 echo "==> BENCH_engine.json artifact (exists, well-formed, plan stage present)"
 # `snails bench` writes the artifact as its last act; it must exist, be
 # valid JSON, and carry the plan_exec stage with identical results.
@@ -193,19 +157,12 @@ sweep = stages["vector_batch_sweep"]
 assert "ms_adaptive" in sweep, "sweep does not record the adaptive policy"
 assert sweep["adaptive_pick_width2"] > sweep["adaptive_pick_width32"], (
     "adaptive batch sizing is not width-sensitive")
-# Cost-based planner: the 3-table star-join stage must show at least the
-# 3x floor from join reordering + predicate pushdown + index probes, with
-# byte-identical results, and the plan-cache capacity stage must render a
-# compulsory-vs-capacity verdict from a real hit-rate measurement.
-mj = stages["multi_join"]
-assert mj["results_identical"], "optimized multi-join results diverged"
-assert mj["speedup"] >= 7.0, (
-    f"multi_join speedup {mj['speedup']}x below the 7x floor")
+# The plan-cache capacity stage must render a compulsory-vs-capacity
+# verdict from a real hit-rate measurement.
 cap = stages["plan_cache_capacity"]
 assert cap["misses_are"] in ("compulsory", "capacity"), "bad cache verdict"
 assert cap["records_match"], "capacity-bounded grid records diverged"
-print(f"    multi_join {mj['speedup']}x over unoptimized at "
-      f"{mj['rows']} fact rows; plan cache misses are {cap['misses_are']} "
+print(f"    plan cache misses are {cap['misses_are']} "
       f"(hit rate {cap['hit_rate']} -> {cap['hit_rate_2x']} at 2x)")
 ckpt = stages["checkpoint_resume"]
 assert ckpt["identical"], "resume / shard-merge diverged from the cold run"

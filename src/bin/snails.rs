@@ -7,14 +7,12 @@
 //! snails audit <DB>                      # schema naturalness profile
 //! snails ask <DB> <question-id> [model]  # run one simulated inference
 //! snails sql <DB> "<query>"              # execute SQL on a benchmark DB
-//! snails explain <DB> <query|question-id> [--threads N]
-//!                                        # cost-based plan, est vs actual rows
 //! snails list                            # the nine databases
 //! snails bench [threads] [--fault-profile none|flaky|hostile]
-//!              [--telemetry <path>] [--explain]
+//!              [--telemetry <path>]
 //!                                        # wall-clock timings (JSON lines)
 //! snails grid [--shard i/n] [--ckpt DIR] [--out manifest]
-//!             [--kill-after N] [--no-optimize]
+//!             [--kill-after N]
 //!                                        # one (shardable, resumable) grid run
 //! snails merge --out merged <manifest>.. # fold shard manifests into one run
 //! snails serve --socket PATH [--serial] [--tenants a,b] [--dbs CWO]
@@ -30,10 +28,10 @@ use snails::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Bench-only counting allocator: `snails bench` reports steady-state
-/// hot-loop allocation counts for the vectorized stages (the buffer-pool
-/// contract), at the cost of two relaxed atomic increments per allocation
-/// everywhere in this binary.
+/// Bench-only counting allocator: `snails bench` turns counting on and
+/// reports steady-state hot-loop allocation counts for the vectorized
+/// stages (the buffer-pool contract). Every other command leaves it off
+/// and pays one relaxed load per allocation.
 #[global_allocator]
 static ALLOC: snails_bench::CountingAlloc = snails_bench::CountingAlloc::new();
 
@@ -50,7 +48,6 @@ fn main() {
         "audit" => audit(&args[1..]),
         "ask" => ask(&args[1..]),
         "sql" => sql(&args[1..]),
-        "explain" => explain(&args[1..]),
         "list" => list(),
         "bench" => bench(&args[1..]),
         "grid" => grid(&args[1..]),
@@ -70,11 +67,10 @@ fn print_usage() {
         "snails — Schema Naming Assessments for Improved LLM-Based SQL Inference\n\n\
          USAGE:\n  snails classify <identifier>...\n  snails abbreviate <identifier> [low|least]\n  \
          snails expand <identifier>...\n  snails audit <DB>\n  snails ask <DB> <question-id> [model]\n  \
-         snails sql <DB> \"<query>\"\n  \
-         snails explain <DB> <query|question-id> [--threads N]\n  snails list\n  \
-         snails bench [threads] [--fault-profile none|flaky|hostile] [--telemetry <path>] [--explain]\n  \
+         snails sql <DB> \"<query>\"\n  snails list\n  \
+         snails bench [threads] [--fault-profile none|flaky|hostile] [--telemetry <path>]\n  \
          snails grid [--seed N] [--threads N] [--fault-profile P] [--telemetry]\n              \
-         [--shard i/n] [--ckpt DIR] [--kill-after N] [--out <manifest>] [--no-optimize]\n  \
+         [--shard i/n] [--ckpt DIR] [--kill-after N] [--out <manifest>]\n  \
          snails merge [--out <manifest>] <shard-manifest>...\n  \
          snails serve --socket <path> [--tenants a,b] [--dbs CWO] [--queue-depth N]\n              \
          [--batch N] [--threads N] [--serial] [--seed N]\n              \
@@ -138,7 +134,6 @@ fn grid(args: &[String]) {
                 }
             }
             "--telemetry" => config.telemetry = true,
-            "--no-optimize" => config.optimize = false,
             "--shard" => match it.next().map(|s| Shard::parse(s)) {
                 Some(Ok(s)) => config.shard = s,
                 Some(Err(e)) => {
@@ -395,96 +390,10 @@ fn sql(args: &[String]) {
     }
 }
 
-/// Explain one statement's cost-based plan: join order, pushed predicates,
-/// index probes, and estimated vs actual cardinality per operator
-/// (DESIGN.md §10). The statement is a SQL string or a gold question id.
-///
-/// `--threads N` runs the same explanation concurrently on `N` threads
-/// against the shared database (shared lazy statistics and index caches)
-/// and asserts every copy is identical — the CLI face of the planner's
-/// determinism contract. Output is byte-identical for any `N`.
-fn explain(args: &[String]) {
-    let mut threads = 1usize;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => {
-                    eprintln!("explain: --threads needs a positive integer");
-                    std::process::exit(2);
-                }
-            }
-        } else {
-            positional.push(arg);
-        }
-    }
-    let [name, stmt] = positional.as_slice() else {
-        eprintln!("explain: usage `snails explain <DB> <query|question-id> [--threads N]`");
-        std::process::exit(2);
-    };
-    let db = build_database(name);
-    let sql = match stmt.parse::<usize>() {
-        Ok(qid) => match db.questions.iter().find(|p| p.id == qid) {
-            Some(pair) => pair.sql.clone(),
-            None => {
-                eprintln!("{name} has no question {qid} (1..={})", db.questions.len());
-                std::process::exit(2);
-            }
-        },
-        Err(_) => stmt.to_string(),
-    };
-    let parsed = match snails::sql::parse(&sql) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e:?}");
-            std::process::exit(1);
-        }
-    };
-    let plan = match snails::engine::compile(&db.db, &parsed) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    let explain_once = || plan.explain(&db.db, ExecOptions::default());
-    let first = match explain_once() {
-        Ok(ex) => ex,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if threads > 1 {
-        let copies: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> =
-                (1..threads).map(|_| s.spawn(explain_once)).collect();
-            handles.into_iter().map(|h| h.join().expect("explain thread")).collect()
-        });
-        for copy in copies {
-            match copy {
-                Ok(ex) if ex == first => {}
-                Ok(_) => {
-                    eprintln!("error: explanation diverged across threads");
-                    std::process::exit(1);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    println!("{sql}");
-    print!("{}", first.render());
-    println!("{{\"explain\":{}}}", first.to_json());
-}
-
 /// Wall-clock timings for the parallel scheduler and the join kernels,
 /// emitted as JSON lines (no external dependencies — `format!` only).
 fn bench(args: &[String]) {
+    ALLOC.start_counting();
     // The parallel legs need a thread count that actually differs from the
     // serial baseline: on a 1-core detection (containers, cgroup caps) a
     // "parallel" run at 1 thread would just re-time the serial leg and
@@ -494,12 +403,9 @@ fn bench(args: &[String]) {
     let mut threads = detected.max(2);
     let mut profile = FaultProfile::NONE;
     let mut telemetry_path: Option<String> = None;
-    let mut show_explain = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if arg == "--explain" {
-            show_explain = true;
-        } else if arg == "--fault-profile" {
+        if arg == "--fault-profile" {
             let Some(p) = it.next().and_then(|n| FaultProfile::by_name(n)) else {
                 eprintln!("bench: --fault-profile takes none|flaky|hostile");
                 std::process::exit(2);
@@ -722,14 +628,8 @@ fn bench(args: &[String]) {
         }
         ms(t)
     };
-    // Baseline stages (gold_joins, plan_exec, vector_exec, the batch
-    // sweep, synthetic_join) pin `optimize: false` so they keep measuring
-    // the raw kernels they are named for; the cost-based planner gets its
-    // own `multi_join` stage below.
-    let nested_ms =
-        time_suite(ExecOptions { hash_join: false, optimize: false, ..Default::default() });
-    let hash_ms =
-        time_suite(ExecOptions { hash_join: true, optimize: false, ..Default::default() });
+    let nested_ms = time_suite(ExecOptions { hash_join: false, ..Default::default() });
+    let hash_ms = time_suite(ExecOptions::default());
     emit(format!(
         "{{\"bench\":\"gold_joins\",\"database\":\"NTSB\",\"queries\":{},\
          \"nested_ms\":{nested_ms:.1},\"hash_ms\":{hash_ms:.1},\"speedup\":{:.1}}}",
@@ -744,7 +644,7 @@ fn bench(args: &[String]) {
     // check between the two paths.
     // The row-at-a-time plan runner is the `plan_exec` baseline; the
     // vectorized engine gets its own `vector_exec` stage below.
-    let opts = ExecOptions { vectorized: false, optimize: false, ..Default::default() };
+    let opts = ExecOptions { vectorized: false, ..Default::default() };
     let plans = snails::engine::PlanCache::new();
     let mut gold_rows = 0usize;
     let mut plans_identical = true;
@@ -810,7 +710,7 @@ fn bench(args: &[String]) {
     // Batch-at-a-time columnar execution of the same gold workload: the
     // same warm plan cache, executed through the vectorized engine. The
     // warm-up pass is the result-identity check against the interpreter.
-    let vec_opts = ExecOptions { optimize: false, ..Default::default() };
+    let vec_opts = ExecOptions::default();
     let mut vec_identical = true;
     for p in &db.questions {
         vec_identical &= plans.run(&db.db, &p.sql, vec_opts) == run_sql(&db.db, &p.sql);
@@ -863,13 +763,13 @@ fn bench(args: &[String]) {
     ));
     // Batch-size sweep over the same workload. The default is no longer a
     // fixed 1024: `batch_size: None` picks per query from the plan's row
-    // width (DESIGN.md §11), and the sweep records the adaptive run next
+    // width (DESIGN.md §10), and the sweep records the adaptive run next
     // to the fixed sizes — plus the picks at representative widths — so a
     // mistuned default can't silently return.
     let sweep: Vec<String> = [256usize, 1024, 4096]
         .iter()
         .map(|&b| {
-            let o = ExecOptions { batch_size: Some(b), optimize: false, ..Default::default() };
+            let o = ExecOptions { batch_size: Some(b), ..Default::default() };
             format!("\"ms_{b}\":{:.1}", time_plans(o))
         })
         .collect();
@@ -902,8 +802,8 @@ fn bench(args: &[String]) {
     }
     let sql = "SELECT a.k, COUNT(*), MAX(b.w) FROM a JOIN b ON a.k = b.k \
                WHERE a.v >= 200000 GROUP BY a.k";
-    let row_opts = ExecOptions { vectorized: false, optimize: false, ..Default::default() };
-    let vec_join_opts = ExecOptions { optimize: false, ..Default::default() };
+    let row_opts = ExecOptions { vectorized: false, ..Default::default() };
+    let vec_join_opts = ExecOptions::default();
     let join_plans = snails::engine::PlanCache::new();
     // Warm-up doubles as the three-way identity check: interpreter,
     // row-at-a-time plan, vectorized plan.
@@ -947,71 +847,6 @@ fn bench(args: &[String]) {
         row_ms / vec_join_ms,
         d.allocs
     ));
-
-    // Cost-based planner on a star-shaped three-table join (DESIGN.md
-    // §10): a 300K-row fact table against two dimensions, with a
-    // selective predicate on the *last* dimension in FROM order. The
-    // unoptimized pipeline joins fact×d1 first (1.2M intermediate rows)
-    // and filters at the end; the planner pushes the predicate into an
-    // index probe on d2 and joins fact×d2 first (~150 rows), so the
-    // speedup is the cost of the wasted intermediate. Results must be
-    // identical — the optimized path's whole contract.
-    const FACT_ROWS: i64 = 300_000;
-    let mut mdb = Database::new("bench_mj");
-    mdb.create_table(
-        TableSchema::new("fact")
-            .column("k1", DataType::Int)
-            .column("k2", DataType::Int)
-            .column("v", DataType::Int),
-    );
-    mdb.create_table(
-        TableSchema::new("d1").column("k1", DataType::Int).column("a", DataType::Varchar),
-    );
-    mdb.create_table(
-        TableSchema::new("d2").column("k2", DataType::Int).column("b", DataType::Varchar),
-    );
-    for i in 0..FACT_ROWS {
-        mdb.insert("fact", vec![Value::Int(i % 1000), Value::Int(i % 2000), Value::Int(i)])
-            .expect("insert");
-    }
-    for j in 0..4000i64 {
-        mdb.insert("d1", vec![Value::Int(j % 1000), Value::Str(format!("a{j}").into())])
-            .expect("insert");
-    }
-    for j in 0..2000i64 {
-        mdb.insert("d2", vec![Value::Int(j), Value::Str(format!("code{j}").into())])
-            .expect("insert");
-    }
-    let mj_sql = "SELECT COUNT(*), SUM(fact.v) FROM fact \
-                  JOIN d1 ON fact.k1 = d1.k1 \
-                  JOIN d2 ON fact.k2 = d2.k2 \
-                  WHERE d2.b = 'code7'";
-    let mj_plans = snails::engine::PlanCache::new();
-    let mj_off = ExecOptions { optimize: false, ..Default::default() };
-    let mj_on = ExecOptions::default();
-    let mj_identical = mj_plans.run(&mdb, mj_sql, mj_off) == mj_plans.run(&mdb, mj_sql, mj_on);
-    let time_mj = |o: ExecOptions| {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let t = Instant::now();
-            mj_plans.run(&mdb, mj_sql, o).expect("multi-join runs");
-            best = best.min(ms(t));
-        }
-        best
-    };
-    let mj_off_ms = time_mj(mj_off);
-    let mj_on_ms = time_mj(mj_on);
-    emit(format!(
-        "{{\"bench\":\"multi_join\",\"rows\":{FACT_ROWS},\"unoptimized_ms\":{mj_off_ms:.1},\
-         \"optimized_ms\":{mj_on_ms:.1},\"speedup\":{:.1},\"results_identical\":{mj_identical}}}",
-        mj_off_ms / mj_on_ms
-    ));
-    if show_explain {
-        let parsed = snails::sql::parse(mj_sql).expect("multi-join SQL parses");
-        let plan = snails::engine::compile(&mdb, &parsed).expect("multi-join SQL compiles");
-        let ex = plan.explain(&mdb, ExecOptions::default()).expect("explain runs");
-        print!("{}", ex.render());
-    }
 
     // Plan-cache capacity: the same grid once at a bounded capacity and
     // once at twice that capacity. If doubling the cache barely moves the
@@ -1113,7 +948,7 @@ fn list() {
 }
 
 // ---------------------------------------------------------------------------
-// Serving layer (DESIGN.md §12)
+// Serving layer (DESIGN.md §11)
 // ---------------------------------------------------------------------------
 
 /// Shared flag state for `snails serve` / `snails load`.

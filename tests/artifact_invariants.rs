@@ -33,15 +33,33 @@ fn all_nine_databases_match_table_2() {
 
 #[test]
 fn gold_queries_execute_non_empty_everywhere() {
-    // The Artifact-6 invariant over the databases not covered by unit tests
-    // (including the two largest).
-    for name in ["CWO", "NTSB", "SBOD"] {
+    // The Artifact-6 invariant on all nine databases, doubling as the
+    // real-SQL differential: every gold statement's interpreter result must
+    // equal, byte for byte, what the plan cache returns — unbudgeted, and
+    // under the guarded budgets served `Sql` requests run with.
+    use snails::core::telemetry::{scope, ClockMode, ObsCtx};
+    use snails::engine::{ExecOptions, PlanCache};
+    let guarded = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
+    for name in snails::data::DATABASE_NAMES {
         let db = build_database(name);
+        let plans = PlanCache::new();
+        let obs = std::sync::Arc::new(ObsCtx::new(ClockMode::Sim));
+        let _scope = scope(&obs);
         for pair in &db.questions {
             let rs = run_sql(&db.db, &pair.sql)
                 .unwrap_or_else(|e| panic!("{name} q{}: {e}\n{}", pair.id, pair.sql));
             assert!(!rs.is_empty(), "{name} q{} returned no rows: {}", pair.id, pair.sql);
+            let oracle = format!("{rs:?}");
+            for opts in [ExecOptions::default(), guarded] {
+                let planned = plans
+                    .run(&db.db, &pair.sql, opts)
+                    .unwrap_or_else(|e| panic!("{name} q{} planned: {e}", pair.id));
+                assert_eq!(format!("{planned:?}"), oracle, "{name} q{}: {}", pair.id, pair.sql);
+            }
         }
+        // The comparison above exercised the vectorized engine.
+        let batches = obs.report().counter("engine.vec.batches");
+        assert!(batches > 0, "{name}: no vectorized batches ran");
     }
 }
 
