@@ -311,10 +311,15 @@ impl<'a> EvalContext<'a> {
 /// when the cell reached the execution stage.
 ///
 /// This is the single-cell entry the serve layer uses: each tenant owns its
-/// plan cache and execution budgets, and the per-question gold context is
-/// recomputed per call (gold queries are trusted fixtures, cheap relative to
-/// inference). Batch callers should prefer [`run_benchmark_on`], which
-/// amortizes the gold context across the grid and layers in fault planning.
+/// plan cache and execution budgets, and the per-question gold context
+/// (parse the gold SQL, run it through the interpreter, compute its query
+/// measures) is rebuilt on every call. That is not cheap: on the
+/// `serve_ask` workload of `perfbench` (2-vCPU VM) the gold step takes a
+/// median of 0.12–0.18 ms and a p99 of 14–21 ms per request, 14–23 % of
+/// traced time against under 3 % for inference, so it is the larger cost
+/// of an `Ask` (ROADMAP item 5). Batch callers should prefer [`run_benchmark_on`],
+/// which builds the gold context once per question and layers in fault
+/// planning.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cell_with(
     workflow: Workflow,

@@ -61,11 +61,6 @@ impl ExecLimits {
             max_steps: Some(50_000_000),
         }
     }
-
-    /// True when every budget is `None`.
-    pub fn is_unlimited(&self) -> bool {
-        *self == ExecLimits::UNLIMITED
-    }
 }
 
 /// Execution options.
@@ -492,6 +487,25 @@ impl Meter {
             }
         }
         self.charge_steps(n)
+    }
+
+    /// Charge `steps` and `join_rows` in one all-or-nothing step: both are
+    /// added only when neither budget can trip, and the return says
+    /// whether they were. Callers replaying work whose real run would
+    /// charge exactly these totals use it: the counters only grow, so a
+    /// run whose final totals fit could not have tripped midway, and on a
+    /// refusal nothing is charged, leaving the caller to run the work for
+    /// real and trip where the interpreter does.
+    pub(crate) fn try_charge(&self, steps: u64, join_rows: u64) -> bool {
+        let steps = self.steps.get().saturating_add(steps);
+        let join_rows = self.join_rows.get().saturating_add(join_rows);
+        let fits = self.limits.max_steps.is_none_or(|b| steps <= b)
+            && self.limits.max_join_rows.is_none_or(|b| join_rows <= b);
+        if fits {
+            self.steps.set(steps);
+            self.join_rows.set(join_rows);
+        }
+        fits
     }
 
     /// Enter a query block: enforces the subquery depth budget. On `Err`
@@ -2151,8 +2165,7 @@ mod tests {
         )
         .unwrap();
         assert!(!rs.rows.is_empty());
-        assert!(!ExecLimits::guarded().is_unlimited());
-        assert!(ExecLimits::UNLIMITED.is_unlimited());
+        assert_ne!(ExecLimits::guarded(), ExecLimits::UNLIMITED);
     }
 
     #[test]

@@ -47,8 +47,8 @@ use crate::catalog::Database;
 use crate::error::EngineError;
 use crate::exec::{
     bool_value, contains_aggregate, equi_join_keys, eval_binary, eval_unary, finish_aggregate,
-    is_aggregate_name, like_match, record_statement, scalar_fn, truth, Binding, ExecLimits,
-    ExecOptions, Meter,
+    is_aggregate_name, like_match, record_statement, scalar_fn, truth, Binding, ExecOptions,
+    Meter,
 };
 use snails_obs::Metric as Obs;
 use crate::result::ResultSet;
@@ -97,7 +97,9 @@ pub(crate) enum CExpr {
     /// `expr [NOT] IN (SELECT ...)` — subquery compiled once, re-bound per
     /// outer row. `uncorrelated` is the plan-time proof that no slot inside
     /// the block escapes it (see [`block_is_correlated`]), which licenses
-    /// the per-execution memo in [`Runner::run_subquery`].
+    /// the per-execution memo in [`Runner::run_subquery`]: the block runs
+    /// once, and every later evaluation replays its rows and its recorded
+    /// budget charges.
     InSubquery { expr: ExprId, query: Box<CSelect>, negated: bool, uncorrelated: bool },
     /// `[NOT] EXISTS (SELECT ...)`.
     Exists { query: Box<CSelect>, negated: bool, uncorrelated: bool },
@@ -822,14 +824,23 @@ enum Rep {
     Nulls(Vec<Value>),
 }
 
+/// One memoized uncorrelated subquery block: its result and what its
+/// first run charged the meter.
+struct MemoBlock {
+    rows: Rc<ResultSet>,
+    steps: u64,
+    join_rows: u64,
+}
+
 pub(crate) struct Runner<'a> {
     pub(crate) db: &'a Database,
     pub(crate) opts: ExecOptions,
     pub(crate) meter: Meter,
     /// Per-execution results of uncorrelated subquery blocks, keyed by
-    /// block address (each `Box<CSelect>` is a distinct, pinned block).
-    /// Only consulted when [`Self::memo_enabled`] holds.
-    subquery_memo: RefCell<HashMap<usize, Result<Rc<ResultSet>, EngineError>>>,
+    /// block address (each `Box<CSelect>` is a distinct, pinned block),
+    /// with the budget each block's first run charged. See
+    /// [`Self::run_subquery`].
+    subquery_memo: RefCell<HashMap<usize, MemoBlock>>,
     /// Hot-loop buffer pool for the vectorized executors (see
     /// [`crate::batch::BatchPool`]); unused on the scalar path.
     pub(crate) pool: crate::batch::BatchPool,
@@ -846,36 +857,46 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Memoizing uncorrelated subqueries skips their per-outer-row re-runs,
-    /// which also skips the steps/join-rows/depth charges those re-runs
-    /// would have paid. With every limit off the ledger is unobservable, so
-    /// the skip is licensed; under any finite budget the memo stays off and
-    /// the compiled path charges row-for-row what the interpreter charges.
-    fn memo_enabled(&self) -> bool {
-        self.opts.limits == ExecLimits::UNLIMITED
-    }
-
-    /// Run a subquery block under `frame`. Blocks proven uncorrelated at
-    /// plan time run once per statement execution and replay from the memo
-    /// (their result cannot depend on `frame`); everything else re-runs
-    /// per outer row, exactly like the interpreter.
+    /// Run a subquery block under `frame`. Correlated blocks re-run per
+    /// outer row, exactly like the interpreter. A block proven
+    /// uncorrelated at plan time runs for real once per statement
+    /// execution; its result cannot depend on `frame`, so later
+    /// evaluations replay it from the memo and charge the steps and join
+    /// rows its first run charged, in one [`Meter::try_charge`]. The
+    /// meter then ends where re-running the block would have left it.
+    /// When the charge does not fit, nothing is charged and the block
+    /// re-runs for real, so the error, its trip point and the meter totals
+    /// are the interpreter's. Depth and the output-row budget need no
+    /// replay: the block always enters at the same depth and yields the
+    /// same rows, and its first run passed both checks. Errors are not
+    /// memoized; they end the statement.
     fn run_subquery(
         &self,
         q: &CSelect,
         frame: &Frame<'_>,
         uncorrelated: bool,
     ) -> Result<Rc<ResultSet>, EngineError> {
-        if !uncorrelated || !self.memo_enabled() {
+        if !uncorrelated {
             return self.run_select(q, Some(frame)).map(Rc::new);
         }
         let key = q as *const CSelect as usize;
-        if let Some(cached) = self.subquery_memo.borrow().get(&key) {
-            return cached.clone();
+        if let Some(m) = self.subquery_memo.borrow().get(&key) {
+            if self.meter.try_charge(m.steps, m.join_rows) {
+                snails_obs::add(Obs::EngineExecSubqueryReplays, 1);
+                return Ok(Rc::clone(&m.rows));
+            }
         }
-        let result = self.run_select(q, Some(frame)).map(Rc::new);
-        self.subquery_memo.borrow_mut().insert(key, result.clone());
-        result
+        let (steps, join_rows) = (self.meter.steps_used(), self.meter.join_rows_used());
+        let rows = Rc::new(self.run_select(q, Some(frame))?);
+        let memo = MemoBlock {
+            rows: Rc::clone(&rows),
+            steps: self.meter.steps_used() - steps,
+            join_rows: self.meter.join_rows_used() - join_rows,
+        };
+        self.subquery_memo.borrow_mut().insert(key, memo);
+        Ok(rows)
     }
+
     /// Depth-guarded entry point for a compiled block, mirroring the
     /// interpreter's `select` wrapper.
     pub(crate) fn run_select(

@@ -29,10 +29,13 @@
 //!    error is seen as a vector abort — spurious aborts merely cost a
 //!    scalar replay, never a wrong answer.
 //! 2. **Identical charge sequences.** Bulk charges (scan, filter, group)
-//!    happen at the same sequence points as the row path; per-row charges
-//!    (hash-join probe) run in the same row order. Fallbacks are decided
-//!    *before* the first charge of the affected scope, so a delegated scope
-//!    replays the row path's exact charge/error interleaving.
+//!    happen at the same sequence points as the row path. The hash-join
+//!    probe sums the row path's per-row charges and commits them in one
+//!    all-or-nothing step; only when that step is refused does it charge
+//!    row by row, in the row path's order, to trip at the row path's row.
+//!    Fallbacks are decided *before* the first charge of the affected
+//!    scope, so a delegated scope replays the row path's exact
+//!    charge/error interleaving.
 //!
 //! The nested-loop interpreter ([`crate::execute_with`]) and the row plan
 //! runner remain available (`ExecOptions { vectorized: false, .. }`) as
@@ -62,6 +65,8 @@ use crate::value::{HashKey, Value};
 
 /// Row-id sentinel for the NULL-padded side of an outer join.
 const NONE_RID: u32 = u32::MAX;
+/// Probe-row group id of a key the build side does not hold.
+const NO_GROUP: u32 = u32::MAX;
 
 /// Execute `plan` through the vectorized engine. Entry point for
 /// [`CompiledPlan::execute`] when `opts.vectorized` is set.
@@ -1740,16 +1745,21 @@ impl AtomKey for (u64, u64) {
 /// The atom build/probe loops ([`AtomKey::dead`] = unmatchable). The build
 /// is two-pass — count per key, prefix-sum, scatter into one flat row-id
 /// array — so a build side of `k` distinct keys costs three allocations
-/// instead of `k` per-key vectors. Probe charges mirror the row path
-/// per-row; when the budget is unlimited (nothing can trip) they
-/// accumulate and charge once, keeping the meter totals identical.
+/// instead of `k` per-key vectors. The probe is two-pass as well: the
+/// first resolves every probe row's build group and sums the charges the
+/// row path makes per probe row (`1 + hits`), then commits the sum in one
+/// [`Meter::try_charge`](crate::exec::Meter::try_charge); the second
+/// emits. So nothing is emitted before the charge fits, and a join bomb
+/// fails before it allocates. Only when the commit is refused does the
+/// probe walk the groups again charging row by row, which trips at the
+/// row path's row with the row path's counters.
 fn join_atoms<K: AtomKey>(
     r: &Runner<'_>,
     kind: JoinKind,
     lbits: &[K],
     rbits: &[K],
 ) -> Result<Vec<(u32, u32)>, EngineError> {
-    let bulk = r.opts.limits.is_unlimited();
+    debug_assert!(kind != JoinKind::Cross, "cross joins never take the hash path");
     let bkeys = match kind {
         JoinKind::Right => lbits,
         _ => rbits,
@@ -1789,75 +1799,68 @@ fn join_atoms<K: AtomKey>(
         }
     }
     r.pool.put_u32(cursor);
-    let lookup = |k: K| -> &[u32] {
-        if k.dead() {
-            return &[];
-        }
-        match groups.get(&k) {
-            Some(&g) => &flat[starts[g as usize] as usize..][..counts[g as usize] as usize],
-            None => &[],
+    // Pass 1: resolve each probe row's build group and sum the charges the
+    // row path makes per probe row (`1 + hits`), emitting nothing yet.
+    let probe = if kind == JoinKind::Right {
+        rbits
+    } else {
+        lbits
+    };
+    let group_rows = |g: u32| -> &[u32] {
+        match g {
+            NO_GROUP => &[],
+            g => &flat[starts[g as usize] as usize..][..counts[g as usize] as usize],
         }
     };
-    // Most equi-joins emit about one row per probe (foreign-key shape);
-    // reserving that much up front avoids the doubling-realloc chain on
-    // the pooled buffer's first growth.
-    let probe_len = if kind == JoinKind::Right { rbits.len() } else { lbits.len() };
-    let mut emits = r.pool.take_pairs();
-    emits.reserve(probe_len);
-    let mut charge_acc = 0u64;
-    match kind {
-        JoinKind::Inner | JoinKind::Left | JoinKind::Full => {
-            let mut right_matched =
-                if kind == JoinKind::Full { vec![false; rbits.len()] } else { Vec::new() };
-            for (li, &k) in lbits.iter().enumerate() {
-                let hits = lookup(k);
-                if bulk {
-                    charge_acc += 1 + hits.len() as u64;
-                } else {
-                    r.meter.charge_join(1 + hits.len() as u64)?;
-                }
-                for &ri in hits {
-                    emits.push((li as u32, ri));
-                    if kind == JoinKind::Full {
-                        right_matched[ri as usize] = true;
-                    }
-                }
-                if hits.is_empty() && kind != JoinKind::Inner {
-                    emits.push((li as u32, NONE_RID));
-                }
-            }
-            if bulk {
-                r.meter.charge_join(charge_acc)?;
-            }
-            if kind == JoinKind::Full {
-                for (ri, m) in right_matched.iter().enumerate() {
-                    if !m {
-                        emits.push((NONE_RID, ri as u32));
-                    }
-                }
-            }
-        }
-        JoinKind::Right => {
-            for (ri, &k) in rbits.iter().enumerate() {
-                let hits = lookup(k);
-                if bulk {
-                    charge_acc += 1 + hits.len() as u64;
-                } else {
-                    r.meter.charge_join(1 + hits.len() as u64)?;
-                }
-                for &li in hits {
-                    emits.push((li, ri as u32));
-                }
-                if hits.is_empty() {
-                    emits.push((NONE_RID, ri as u32));
-                }
-            }
-            if bulk {
-                r.meter.charge_join(charge_acc)?;
-            }
-        }
-        JoinKind::Cross => unreachable!("cross joins never take the hash path"),
+    let mut probe_groups = r.pool.take_u32();
+    let mut charge = 0u64;
+    for &k in probe {
+        let g = if k.dead() {
+            NO_GROUP
+        } else {
+            groups.get(&k).copied().unwrap_or(NO_GROUP)
+        };
+        charge += 1 + group_rows(g).len() as u64;
+        probe_groups.push(g);
     }
+    if !r.meter.try_charge(charge, charge) {
+        for &g in &probe_groups {
+            r.meter.charge_join(1 + group_rows(g).len() as u64)?;
+        }
+    }
+    // Pass 2: emit. Most equi-joins emit about one row per probe
+    // (foreign-key shape); reserving that much up front avoids the
+    // doubling-realloc chain on the pooled buffer's first growth.
+    let mut emits = r.pool.take_pairs();
+    emits.reserve(probe.len());
+    let mut right_matched =
+        if kind == JoinKind::Full { vec![false; rbits.len()] } else { Vec::new() };
+    for (pi, &g) in probe_groups.iter().enumerate() {
+        let hits = group_rows(g);
+        let pi = pi as u32;
+        if kind == JoinKind::Right {
+            emits.extend(hits.iter().map(|&li| (li, pi)));
+            if hits.is_empty() {
+                emits.push((NONE_RID, pi));
+            }
+        } else {
+            for &ri in hits {
+                emits.push((pi, ri));
+                if kind == JoinKind::Full {
+                    right_matched[ri as usize] = true;
+                }
+            }
+            if hits.is_empty() && kind != JoinKind::Inner {
+                emits.push((pi, NONE_RID));
+            }
+        }
+    }
+    for (ri, m) in right_matched.iter().enumerate() {
+        if !m {
+            emits.push((NONE_RID, ri as u32));
+        }
+    }
+    r.pool.put_u32(probe_groups);
     r.pool.put_u32(counts);
     r.pool.put_u32(starts);
     r.pool.put_u32(flat);

@@ -170,38 +170,64 @@ fn hallucinate(displayed: &str, rng: &mut StdRng) -> String {
     }
 }
 
+/// How many of the nearest candidates a distractor is drawn from.
+const DISTRACTOR_POOL: usize = 5;
+
 /// Candidates for distractor selection: displayed identifiers of the same
-/// kind, excluding the correct one; the nearest by edit distance wins
-/// (plausible confusion, not random noise).
+/// kind, excluding the correct one. Edit distance decides (plausible
+/// confusion, not random noise): one of the [`DISTRACTOR_POOL`] nearest
+/// is drawn uniformly.
 fn pick_distractor(
     view: &SchemaView,
     displayed: &str,
     is_table: bool,
     rng: &mut StdRng,
 ) -> Option<String> {
-    let mut candidates: Vec<&str> = if is_table {
-        view.tables
-            .iter()
-            .map(|t| t.displayed.as_str())
-            .filter(|d| !d.eq_ignore_ascii_case(displayed))
-            .collect()
+    let nearest = if is_table {
+        nearest_names(view.tables.iter().map(|t| t.displayed.as_str()), displayed)
     } else {
-        view.tables
-            .iter()
-            .flat_map(|t| &t.columns)
-            .map(|c| c.displayed.as_str())
-            .filter(|d| !d.eq_ignore_ascii_case(displayed))
-            .collect()
+        let columns = view.tables.iter().flat_map(|t| &t.columns);
+        nearest_names(columns.map(|c| c.displayed.as_str()), displayed)
     };
-    if candidates.is_empty() {
+    if nearest.is_empty() {
         return None;
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-    // Keep the 5 nearest by edit distance, pick one.
-    candidates.sort_by_key(|c| levenshtein_ignore_case(c, displayed));
-    let top = candidates.len().min(5);
-    Some(candidates[rng.gen_range(0..top)].to_owned())
+    Some(nearest[rng.gen_range(0..nearest.len())].1.to_owned())
+}
+
+/// The up to [`DISTRACTOR_POOL`] distinct `names` nearest to `displayed`
+/// by case-insensitive edit distance, ascending by `(distance, name)`:
+/// the order a stable distance sort of the sorted, deduplicated names
+/// gives. A name listed by several tables takes one slot, and the
+/// case-insensitive match of `displayed` is never a candidate. One pass;
+/// a name whose length difference alone (a lower bound on the distance)
+/// exceeds the current last distance is skipped unmeasured. An equal
+/// bound is still measured, since a tie with a smaller name enters.
+fn nearest_names<'a>(
+    names: impl Iterator<Item = &'a str>,
+    displayed: &str,
+) -> Vec<(usize, &'a str)> {
+    let mut top: Vec<(usize, &str)> = Vec::with_capacity(DISTRACTOR_POOL + 1);
+    for name in names {
+        if name.eq_ignore_ascii_case(displayed) {
+            continue;
+        }
+        if top.len() == DISTRACTOR_POOL
+            && name.len().abs_diff(displayed.len()) > top[DISTRACTOR_POOL - 1].0
+        {
+            continue;
+        }
+        if top.iter().any(|&(_, n)| n == name) {
+            continue;
+        }
+        let entry = (levenshtein_ignore_case(name, displayed), name);
+        let at = top.partition_point(|e| *e < entry);
+        if at < DISTRACTOR_POOL {
+            top.insert(at, entry);
+            top.truncate(DISTRACTOR_POOL);
+        }
+    }
+    top
 }
 
 /// Simulate linking one required identifier.
@@ -359,5 +385,116 @@ mod tests {
             }
         }
         assert!(guesses_became_correct > 250);
+    }
+
+    /// The sort-based ranking [`pick_distractor`] replaced, kept as the
+    /// reference its one-pass selection must reproduce: every candidate,
+    /// nearest first.
+    fn ranked_by_sort<'a>(view: &'a SchemaView, displayed: &str, is_table: bool) -> Vec<&'a str> {
+        let mut candidates: Vec<&str> = if is_table {
+            view.tables
+                .iter()
+                .map(|t| t.displayed.as_str())
+                .filter(|d| !d.eq_ignore_ascii_case(displayed))
+                .collect()
+        } else {
+            view.tables
+                .iter()
+                .flat_map(|t| &t.columns)
+                .map(|c| c.displayed.as_str())
+                .filter(|d| !d.eq_ignore_ascii_case(displayed))
+                .collect()
+        };
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.sort_by_key(|c| levenshtein_ignore_case(c, displayed));
+        candidates
+    }
+
+    /// The replaced draw: one of the 5 nearest of `ranked`.
+    fn pick_by_sort(ranked: &[&str], rng: &mut StdRng) -> Option<String> {
+        if ranked.is_empty() {
+            return None;
+        }
+        let top = ranked.len().min(5);
+        Some(ranked[rng.gen_range(0..top)].to_owned())
+    }
+
+    /// Every displayed table (`true`) and column (`false`) of `view`.
+    fn identifiers(view: &SchemaView) -> Vec<(String, bool)> {
+        let tables = view.tables.iter().map(|t| (t.displayed.clone(), true));
+        let columns = view
+            .tables
+            .iter()
+            .flat_map(|t| &t.columns)
+            .map(|c| (c.displayed.clone(), false));
+        tables.chain(columns).collect()
+    }
+
+    /// Both selections on each identifier under three seeds: the same
+    /// pick, and the rng left in the same state (one further draw agrees).
+    /// Returns how many picks found a distractor.
+    fn assert_same_picks(view: &SchemaView, ids: &[(String, bool)]) -> usize {
+        let mut found = 0;
+        for (displayed, is_table) in ids {
+            let ranked = ranked_by_sort(view, displayed, *is_table);
+            for seed in [1, 7, 90210] {
+                let mut fast = StdRng::seed_from_u64(seed);
+                let mut reference = fast.clone();
+                let pick = pick_distractor(view, displayed, *is_table, &mut fast);
+                assert_eq!(
+                    pick,
+                    pick_by_sort(&ranked, &mut reference),
+                    "{} {:?} {displayed:?} seed {seed}",
+                    view.database,
+                    view.variant
+                );
+                assert_eq!(
+                    fast.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "rng state after {displayed:?}"
+                );
+                found += usize::from(pick.is_some());
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn distractor_selection_equals_the_sort_it_replaces() {
+        let mut picks = 0;
+        for name in ["CWO", "KIS", "NTSB", "SBOD"] {
+            let db = build_database(name);
+            for variant in SchemaVariant::ALL {
+                let view = SchemaView::new(&db, variant);
+                let mut ids = identifiers(&view);
+                if matches!(name, "NTSB" | "SBOD") {
+                    // A seeded sample of 300 identifiers per variant.
+                    let mut rng = StdRng::seed_from_u64(ids.len() as u64);
+                    for i in 0..300 {
+                        let j = rng.gen_range(i..ids.len());
+                        ids.swap(i, j);
+                    }
+                    ids.truncate(300);
+                }
+                picks += assert_same_picks(&view, &ids);
+            }
+        }
+        // A subsetted view, asked for identifiers inside and outside it.
+        let db = build_database("CWO");
+        let view = SchemaView::new(&db, SchemaVariant::Least);
+        let kept: Vec<String> = view
+            .tables
+            .iter()
+            .take(2)
+            .map(|t| t.displayed.clone())
+            .collect();
+        picks += assert_same_picks(&view.restricted_to(&kept), &identifiers(&view));
+        let single = view.restricted_to(&kept[..1]);
+        assert_eq!(
+            pick_distractor(&single, &kept[0], true, &mut StdRng::seed_from_u64(1)),
+            None
+        );
+        assert!(picks > 0, "no pick found a distractor");
     }
 }

@@ -136,6 +136,9 @@ define_metrics! {
     EngineExecJoinRows => "engine.exec.join_rows", Histogram, WORK_BUCKETS, Deterministic;
     /// Executions aborted by an `ExecLimits` budget.
     EngineLimitsExhausted => "engine.limits.exhausted", Counter, &[], Deterministic;
+    /// Uncorrelated subquery evaluations answered from the per-execution
+    /// memo, their recorded budget charges absorbed in one step.
+    EngineExecSubqueryReplays => "engine.exec.subquery_replays", Counter, &[], Deterministic;
 
     // ---- engine: per-operator work ---------------------------------------
     /// Rows produced per base-table / view / derived-table scan.
@@ -375,6 +378,22 @@ mod tests {
         ] {
             let m = Metric::by_name(name).unwrap();
             assert_eq!(m.spec().class, MetricClass::Volatile, "{name}");
+        }
+    }
+
+    #[test]
+    fn engine_execution_metrics_are_deterministic() {
+        // Per-statement work is a pure function of the statement, so the
+        // grid and serve determinism gates byte-compare it.
+        for name in [
+            "engine.exec.statements",
+            "engine.exec.steps",
+            "engine.exec.join_rows",
+            "engine.exec.subquery_replays",
+            "engine.limits.exhausted",
+        ] {
+            let m = Metric::by_name(name).unwrap();
+            assert_eq!(m.spec().class, MetricClass::Deterministic, "{name}");
         }
     }
 

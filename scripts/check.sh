@@ -157,6 +157,20 @@ sweep = stages["vector_batch_sweep"]
 assert "ms_adaptive" in sweep, "sweep does not record the adaptive policy"
 assert sweep["adaptive_pick_width2"] > sweep["adaptive_pick_width32"], (
     "adaptive batch sizing is not width-sensitive")
+# Guarded subqueries: the gold statements that nest a SELECT, on a warm
+# plan cache under the guarded budgets and with every budget off. The
+# per-execution subquery memo must have replayed blocks under the budgets,
+# and the budgets must cost at most 2x. Both sides are timed in one
+# process, so host drift cancels out of the ratio.
+sub = stages["guarded_subqueries"]
+assert sub["results_identical"], "guarded subquery results diverged"
+assert sub["replays"] > 0, "no uncorrelated subquery replayed from the memo"
+assert sub["guarded_ms_median"] <= 2 * sub["unlimited_ms_median"], (
+    f"guarded subqueries {sub['guarded_ms_median']}ms vs "
+    f"{sub['unlimited_ms_median']}ms unbudgeted: over the 2x gate")
+print(f"    guarded_subqueries {sub['statements']} statements: guarded "
+      f"{sub['guarded_ms_median']}ms vs unbudgeted {sub['unlimited_ms_median']}ms "
+      f"(median of {sub['reps']}), {sub['replays']} replays")
 # The plan-cache capacity stage must render a compulsory-vs-capacity
 # verdict from a real hit-rate measurement.
 cap = stages["plan_cache_capacity"]

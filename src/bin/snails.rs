@@ -784,6 +784,69 @@ fn bench(args: &[String]) {
         snails::engine::adaptive_batch_size(32)
     ));
 
+    // Guarded subqueries: every gold statement of the nine databases that
+    // nests a SELECT, on a warm plan cache under the guarded budgets every
+    // predicted and served statement carries and with every budget off,
+    // alternating pass by pass. Uncorrelated blocks replay from the
+    // per-execution memo with their recorded budget charges under both, so
+    // the budgets should cost close to nothing (check.sh gates guarded at
+    // most 2x unbudgeted). Both sides run in this process, so host drift
+    // cancels out of the ratio.
+    let all_dbs: Vec<SnailsDatabase> = snails::data::DATABASE_NAMES
+        .iter()
+        .map(|n| build_database(n))
+        .collect();
+    let nested: Vec<(&SnailsDatabase, &GoldPair)> = all_dbs
+        .iter()
+        .flat_map(|d| d.questions.iter().map(move |p| (d, p)))
+        .filter(|(_, p)| p.sql.to_ascii_uppercase().matches("SELECT").count() > 1)
+        .collect();
+    let sub_plans = snails::engine::PlanCache::new();
+    let guarded = ExecOptions {
+        limits: ExecLimits::guarded(),
+        ..Default::default()
+    };
+    let unlimited = ExecOptions::default();
+    // Warm-up: compiles every plan, checks both sides against the
+    // interpreter, and counts the replays the guarded side absorbed.
+    let mut sub_identical = true;
+    let sub_obs = Arc::new(telemetry::ObsCtx::new(telemetry::ClockMode::Sim));
+    for (d, p) in &nested {
+        let oracle = run_sql(&d.db, &p.sql);
+        sub_identical &= sub_plans.run(&d.db, &p.sql, unlimited) == oracle;
+        let _scope = telemetry::scope(&sub_obs);
+        sub_identical &= sub_plans.run(&d.db, &p.sql, guarded) == oracle;
+    }
+    let sub_replays = sub_obs.report().counter("engine.exec.subquery_replays");
+    let sub_pass = |o: ExecOptions| {
+        let t = Instant::now();
+        for (d, p) in &nested {
+            let _ = sub_plans.run(&d.db, &p.sql, o);
+        }
+        ms(t)
+    };
+    const SUB_REPS: usize = 5;
+    let (mut guarded_ms, mut unlimited_ms) = (Vec::new(), Vec::new());
+    for _ in 0..SUB_REPS {
+        guarded_ms.push(sub_pass(guarded));
+        unlimited_ms.push(sub_pass(unlimited));
+    }
+    let spread = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        (v[v.len() / 2], v[0], v[v.len() - 1])
+    };
+    let (g_med, g_min, g_max) = spread(&mut guarded_ms);
+    let (u_med, u_min, u_max) = spread(&mut unlimited_ms);
+    emit(format!(
+        "{{\"bench\":\"guarded_subqueries\",\"statements\":{},\"reps\":{SUB_REPS},\
+         \"guarded_ms_median\":{g_med:.2},\"guarded_ms_min\":{g_min:.2},\
+         \"guarded_ms_max\":{g_max:.2},\"unlimited_ms_median\":{u_med:.2},\
+         \"unlimited_ms_min\":{u_min:.2},\"unlimited_ms_max\":{u_max:.2},\
+         \"ratio\":{:.2},\"results_identical\":{sub_identical},\"replays\":{sub_replays}}}",
+        nested.len(),
+        g_med / u_med
+    ));
+
     // Synthetic equi join scaled past a million rows: 1.2M-row probe side
     // against a 100K-row build side, grouped back down to 100K keys. The
     // quadratic nested loop is infeasible here (1.2×10^11 comparisons), so
@@ -926,7 +989,7 @@ fn bench(args: &[String]) {
         eprintln!("error: deterministic telemetry diverged across thread counts");
         std::process::exit(1);
     }
-    if !plans_identical || !vec_identical || !join_identical {
+    if !plans_identical || !vec_identical || !join_identical || !sub_identical {
         eprintln!("error: compiled-plan results diverged from the interpreter");
         std::process::exit(1);
     }
