@@ -57,17 +57,6 @@ fn bench_engine(c: &mut Criterion) {
     c.bench_function("exec_composite_key_join", |b| {
         b.iter(|| black_box(snails_engine::run_sql(&db.db, &ck_join).unwrap()))
     });
-
-    // The same join shapes with the hash join disabled (nested loop):
-    // the A/B pair for the kernel speedup numbers in README.md.
-    use snails_engine::{run_sql_with, ExecOptions};
-    let nested = ExecOptions { hash_join: false, ..Default::default() };
-    c.bench_function("exec_join_group_nested_loop", |b| {
-        b.iter(|| black_box(run_sql_with(&db.db, &join_group, nested).unwrap()))
-    });
-    c.bench_function("exec_composite_key_join_nested_loop", |b| {
-        b.iter(|| black_box(run_sql_with(&db.db, &ck_join, nested).unwrap()))
-    });
 }
 
 criterion_group! {

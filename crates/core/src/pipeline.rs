@@ -312,13 +312,13 @@ impl<'a> EvalContext<'a> {
 ///
 /// This is the single-cell entry the serve layer uses: each tenant owns its
 /// plan cache and execution budgets, and the per-question gold context
-/// (parse the gold SQL, run it through the interpreter, compute its query
-/// measures) is rebuilt on every call. That is not cheap: on the
-/// `serve_ask` workload of `perfbench` (2-vCPU VM) the gold step takes a
-/// median of 0.12–0.18 ms and a p99 of 14–21 ms per request, 14–23 % of
-/// traced time against under 3 % for inference, so it is the larger cost
-/// of an `Ask` (ROADMAP item 5). Batch callers should prefer [`run_benchmark_on`],
-/// which builds the gold context once per question and layers in fault
+/// (parse the gold SQL, compile it and run the plan, compute its query
+/// measures) is rebuilt on every call. On the `serve_ask` workload of
+/// `perfbench` (seed 1, 2-vCPU VM, one traced run) the server's whole
+/// `Ask`, gold step included (`serve.exec_ms.ask`), takes a median of
+/// 0.19 ms and a p99 of 2.3 ms; caching the gold context per tenant is
+/// ROADMAP item 5. Batch callers should prefer [`run_benchmark_on`], which
+/// builds the gold context once per question and layers in fault
 /// planning.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cell_with(
@@ -362,10 +362,16 @@ pub fn evaluate_question(
     EvalContext::new(db, view).evaluate(workflow, pair, seed)
 }
 
+/// Parse the gold SQL once for its identifiers and its result. The result
+/// comes from a compiled plan run unbudgeted and outside any [`PlanCache`],
+/// so gold statements never move the grid's or a tenant's hit/miss
+/// counters.
 fn gold_context(db: &SnailsDatabase, pair: &snails_data::GoldPair) -> GoldContext {
     let stmt = parse(&pair.sql).expect("gold parses");
     let ids = extract_identifiers(&stmt);
-    let result = snails_engine::run_sql(&db.db, &pair.sql).ok();
+    let result = snails_engine::compile(&db.db, &stmt)
+        .and_then(|plan| plan.execute(&db.db, ExecOptions::default()))
+        .ok();
     GoldContext { ids, result }
 }
 

@@ -78,39 +78,23 @@ where
     F: Fn(usize, &I) -> T + Sync,
     P: Fn(usize, &I, Box<dyn Any + Send>) -> T + Sync,
 {
-    run_ordered_observed(items, threads, None, f, on_panic)
+    run_ordered_observed_keyed(items, threads, None, |i, _| i as u64, f, on_panic)
 }
 
 /// [`run_ordered_isolated`] with optional observability: when `ctx` is
 /// `Some`, every worker installs the context as its scope (so metric and
 /// span calls inside `f` record into it), each item runs as
-/// [`snails_obs::task`] `i` (making span merging deterministic — see
-/// `snails_obs::trace`), and the scheduler reports its own telemetry:
+/// [`snails_obs::task`] `key(i, item)` (making span merging deterministic —
+/// see `snails_obs::trace`), and the scheduler reports its own telemetry:
 /// `core.scheduler.items` per item (deterministic), plus volatile shape
 /// metrics (workers, queue depth, chunks claimed/stolen, per-item wall
 /// time) that legitimately vary with the thread count.
-pub fn run_ordered_observed<I, T, F, P>(
-    items: &[I],
-    threads: usize,
-    ctx: Option<&Arc<ObsCtx>>,
-    f: F,
-    on_panic: P,
-) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-    P: Fn(usize, &I, Box<dyn Any + Send>) -> T + Sync,
-{
-    run_ordered_observed_keyed(items, threads, ctx, |i, _| i as u64, f, on_panic)
-}
-
-/// [`run_ordered_observed`] with caller-chosen task ids: `key(i, item)`
-/// labels item `i`'s [`snails_obs::task`]. The checkpoint layer uses this
-/// to run a *subset* of the grid (a shard, or the cells a resumed run still
-/// owes) while tagging each cell's spans with its grid-global index — so
-/// the merged span stream of a sharded or resumed run interleaves exactly
-/// like the uninterrupted full run's.
+///
+/// The caller-chosen task ids let the checkpoint layer run a *subset* of
+/// the grid (a shard, or the cells a resumed run still owes) while tagging
+/// each cell's spans with its grid-global index — so the merged span
+/// stream of a sharded or resumed run interleaves exactly like the
+/// uninterrupted full run's.
 pub fn run_ordered_observed_keyed<I, T, K, F, P>(
     items: &[I],
     threads: usize,

@@ -66,12 +66,6 @@ impl ExecLimits {
 /// Execution options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Run equi-key `ON` predicates through the build/probe hash join.
-    /// Joins whose predicate is not a pure conjunction of equi-key
-    /// conjuncts always fall back to the nested loop, as does everything
-    /// when this is `false` (the flag exists for A/B timing and for the
-    /// hash/nested equivalence tests).
-    pub hash_join: bool,
     /// Run compiled plans ([`crate::plan::CompiledPlan::execute`]) through
     /// the batch-at-a-time columnar executor (`crate::vector`), the
     /// default. The vectorized path produces byte-identical result sets,
@@ -130,7 +124,6 @@ pub fn adaptive_batch_size(width: usize) -> usize {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            hash_join: true,
             vectorized: true,
             batch_size: None,
             optimize: true,
@@ -841,7 +834,7 @@ impl<'a> Executor<'a> {
         on: Option<&Expr>,
         outer: Option<&Scope<'_>>,
     ) -> Result<RowSet, EngineError> {
-        if self.opts.hash_join && kind != JoinKind::Cross {
+        if kind != JoinKind::Cross {
             if let Some(pred) = on {
                 if let Some(keys) = equi_join_keys(pred, &left.bindings, &right.bindings) {
                     return self.hash_join(left, right, kind, &keys, outer);

@@ -22,12 +22,14 @@
 //!
 //! # Execution paths
 //!
-//! Compiled SQL ([`compile`], [`PlanCache`]) has one production path:
-//! [`CompiledPlan::execute`] runs every query block as a fused vectorized
-//! pipeline ([`vector`]) over each table's dictionary-encoded columnar
-//! mirror — scans are refcount bumps, `WHERE` emits a selection vector
-//! straight into the block tail, equi-key joins build and probe over row
-//! ids (other joins take the row runner's nested loop), and rows
+//! Compiled plans ([`compile`], [`PlanCache`]) are the only production
+//! path: gold and predicted SQL in the benchmark grid, serve `Sql` and
+//! `Ask` requests, and `snails sql` all run through
+//! [`CompiledPlan::execute`]. It runs every query block as a fused
+//! vectorized pipeline ([`vector`]) over each table's dictionary-encoded
+//! columnar mirror — scans are refcount bumps, `WHERE` emits a selection
+//! vector straight into the block tail, equi-key joins build and probe
+//! over row ids (other joins take the row runner's nested loop), and rows
 //! materialize only at the final projection.
 //!
 //! A scope the vector kernels cannot prove error-free (a subquery, a
@@ -37,9 +39,11 @@
 //! reproduces byte for byte. The same runner serves
 //! `ExecOptions { vectorized: false, .. }`, kept for A/B timing.
 //!
-//! The AST interpreter ([`execute_with`], behind [`run_sql`]) is the
-//! differential-testing oracle: the equivalence suites under `tests/`
-//! compare both compiled paths against it.
+//! The AST interpreter ([`execute_with`], behind [`run_sql`] and
+//! [`run_sql_with`]) is the differential-testing oracle. Only tests,
+//! `snails bench` and the frozen benchmark under `perfbench/` reach it:
+//! the equivalence suites under `tests/` compare both compiled paths
+//! against it, and the benchmarks use it as their independent reference.
 
 pub mod batch;
 pub mod catalog;

@@ -1127,10 +1127,8 @@ impl<'a> Runner<'a> {
         join: &CJoin,
         outer: Option<&Frame<'_>>,
     ) -> Result<Vec<Vec<Value>>, EngineError> {
-        if self.opts.hash_join && join.kind != JoinKind::Cross {
-            if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
-                return self.hash_join(sel, left, right, join, keys, outer);
-            }
+        if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
+            return self.hash_join(sel, left, right, join, keys, outer);
         }
         self.nested_join(sel, left, right, join, outer)
     }
@@ -1690,17 +1688,7 @@ impl PlanCache {
         snails_obs::add(Obs::EnginePlanCacheMiss, 1);
         let stmt = snails_sql::parse(sql).map_err(EngineError::from_parse)?;
         let plan = Arc::new(compile(db, &stmt)?);
-        snails_obs::add(Obs::EnginePlanCompile, 1);
-        inner.plans.insert(key.clone(), Arc::clone(&plan));
-        inner.order.push_back(key);
-        if let Some(cap) = self.capacity {
-            while inner.plans.len() > cap {
-                let oldest = inner.order.pop_front().expect("order tracks plans");
-                inner.plans.remove(&oldest);
-                self.evictions.fetch_add(1, AtomicOrdering::Relaxed);
-                snails_obs::add(Obs::EnginePlanCacheEviction, 1);
-            }
-        }
+        self.insert(&mut inner, key, Arc::clone(&plan));
         Ok(plan)
     }
 
@@ -1731,8 +1719,15 @@ impl PlanCache {
         }
         let Ok(stmt) = snails_sql::parse(sql) else { return false };
         let Ok(plan) = compile(db, &stmt) else { return false };
+        self.insert(&mut inner, key, Arc::new(plan));
+        true
+    }
+
+    /// Insert a freshly compiled plan, then evict the oldest inserted
+    /// entries (FIFO) until the cache is back within its capacity.
+    fn insert(&self, inner: &mut CacheInner, key: String, plan: Arc<CompiledPlan>) {
         snails_obs::add(Obs::EnginePlanCompile, 1);
-        inner.plans.insert(key.clone(), Arc::new(plan));
+        inner.plans.insert(key.clone(), plan);
         inner.order.push_back(key);
         if let Some(cap) = self.capacity {
             while inner.plans.len() > cap {
@@ -1742,7 +1737,6 @@ impl PlanCache {
                 snails_obs::add(Obs::EnginePlanCacheEviction, 1);
             }
         }
-        true
     }
 
     /// Cache hits so far.

@@ -37,7 +37,7 @@
 //!    scope, so a delegated scope replays the row path's exact
 //!    charge/error interleaving.
 //!
-//! The nested-loop interpreter ([`crate::execute_with`]) and the row plan
+//! The AST interpreter ([`crate::execute_with`]) and the row plan
 //! runner remain available (`ExecOptions { vectorized: false, .. }`) as
 //! differential-testing oracles; `tests/vector_equivalence.rs` fuzzes the
 //! three against each other.
@@ -1333,10 +1333,9 @@ fn filter_sel(
 // ---------------------------------------------------------------------------
 
 /// One join step. Equi-key joins run the vectorized build/probe over row
-/// ids; everything else (non-equi `ON`, cross joins, `hash_join: false`,
-/// keys the vector kernels cannot prove error-free) materializes both sides
-/// and delegates to the scalar runner, whose charge/error interleaving is
-/// the contract.
+/// ids; everything else (non-equi `ON`, cross joins, keys the vector
+/// kernels cannot prove error-free) materializes both sides and delegates
+/// to the scalar runner, whose charge/error interleaving is the contract.
 fn join_step(
     r: &Runner<'_>,
     sel: &CSelect,
@@ -1347,22 +1346,20 @@ fn join_step(
     flags: &[bool],
 ) -> Result<Rel, EngineError> {
     let width = join.left_width + join.source.width();
-    if r.opts.hash_join && join.kind != JoinKind::Cross {
-        if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
-            let lk = side_keys(sel, &left, keys, true, batch, flags, &r.pool);
-            let rk = side_keys(sel, &right, keys, false, batch, flags, &r.pool);
-            if let (Some(lk), Some(rk)) = (lk, rk) {
-                return hash_join_vec(r, left, right, join, lk, rk);
-            }
-            // Key evaluation needs the scalar runner: delegate the whole
-            // join before any charge, so accounting replays exactly.
-            let lrows = left.materialize_all();
-            let rrows = right.materialize_all();
-            left.recycle(&r.pool);
-            right.recycle(&r.pool);
-            let rows = r.hash_join(sel, lrows, rrows, join, keys, None)?;
-            return Ok(Rel::from_rows(width, &rows));
+    if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
+        let lk = side_keys(sel, &left, keys, true, batch, flags, &r.pool);
+        let rk = side_keys(sel, &right, keys, false, batch, flags, &r.pool);
+        if let (Some(lk), Some(rk)) = (lk, rk) {
+            return hash_join_vec(r, left, right, join, lk, rk);
         }
+        // Key evaluation needs the scalar runner: delegate the whole
+        // join before any charge, so accounting replays exactly.
+        let lrows = left.materialize_all();
+        let rrows = right.materialize_all();
+        left.recycle(&r.pool);
+        right.recycle(&r.pool);
+        let rows = r.hash_join(sel, lrows, rrows, join, keys, None)?;
+        return Ok(Rel::from_rows(width, &rows));
     }
     let lrows = left.materialize_all();
     let rrows = right.materialize_all();
@@ -1592,9 +1589,9 @@ fn append_gen(out: &mut Vec<Option<JoinKey>>, cols: &[VCol], n: usize) {
 /// dictionary-string columns on codes after a once-per-join code→code
 /// translation, and a string column against a numeric column can never
 /// match so it joins as all-unmatchable (pads and charge sequence are
-/// preserved). One- and two-column keys then run the flat code-space
-/// loops on `u64` / `(u64, u64)` atoms; wider keys (rare) and
-/// non-atomizable sides hash [`JoinKey`]s.
+/// preserved). One- and two-column keys then run [`join_atoms`] on
+/// `u64` / `(u64, u64)` atoms; wider keys (rare) and non-atomizable sides
+/// run the same loops on [`JoinKey`]s.
 fn hash_join_vec(
     r: &Runner<'_>,
     left: Rel,
@@ -1636,12 +1633,7 @@ fn hash_join_vec(
             }
             emits
         }
-        (lk, rk) => {
-            let (lg, rg) = (lk.into_gen(), rk.into_gen());
-            hash_join_pairs::<JoinKey, std::collections::hash_map::RandomState>(
-                r, join.kind, &lg, &rg,
-            )?
-        }
+        (lk, rk) => join_atoms(r, join.kind, &lk.into_gen(), &rk.into_gen())?,
     };
     let joined = combine(left, right, &emits, &r.pool);
     r.pool.put_pairs(emits);
@@ -1721,33 +1713,57 @@ fn translate_codes(
     (bbits, pbits)
 }
 
-/// A fixed-width join-key atom the flat code-space loops can build and
-/// probe on: one `u64` per key column, compared bit-for-bit, with
-/// [`DEAD_KEY`] in any column marking the whole key unmatchable.
-/// [`U64Hasher`] folds each column into its running state, so the tuple
-/// form hashes well with the same zero-cost hasher as the scalar form.
-trait AtomKey: Copy + Eq + std::hash::Hash {
-    fn dead(self) -> bool;
+/// A join key [`join_atoms`] can build and probe on, with the hasher that
+/// suits it. `live` returns the form the hash table stores, or `None` when
+/// the key is unmatchable.
+///
+/// The fixed-width atoms — one `u64` per key column, compared
+/// bit-for-bit, [`DEAD_KEY`] in any column marking the whole key
+/// unmatchable — hash by value with [`U64Hasher`], which folds each column
+/// into its running state, so the tuple form hashes well with the same
+/// zero-cost hasher as the scalar form. The general [`JoinKey`] form
+/// (`None` = unmatchable) hashes by reference with SipHash: its keys carry
+/// raw tenant strings, so the table must not be open to crafted
+/// collisions.
+trait AtomKey {
+    type Live<'a>: Eq + std::hash::Hash
+    where
+        Self: 'a;
+    type Hasher: std::hash::BuildHasher + Default;
+    fn live(&self) -> Option<Self::Live<'_>>;
 }
 
 impl AtomKey for u64 {
-    fn dead(self) -> bool {
-        self == DEAD_KEY
+    type Live<'a> = u64;
+    type Hasher = std::hash::BuildHasherDefault<U64Hasher>;
+    fn live(&self) -> Option<u64> {
+        (*self != DEAD_KEY).then_some(*self)
     }
 }
 
 impl AtomKey for (u64, u64) {
-    fn dead(self) -> bool {
-        self.0 == DEAD_KEY || self.1 == DEAD_KEY
+    type Live<'a> = (u64, u64);
+    type Hasher = std::hash::BuildHasherDefault<U64Hasher>;
+    fn live(&self) -> Option<(u64, u64)> {
+        (self.0 != DEAD_KEY && self.1 != DEAD_KEY).then_some(*self)
     }
 }
 
-/// The atom build/probe loops ([`AtomKey::dead`] = unmatchable). The build
-/// is two-pass — count per key, prefix-sum, scatter into one flat row-id
-/// array — so a build side of `k` distinct keys costs three allocations
-/// instead of `k` per-key vectors. The probe is two-pass as well: the
-/// first resolves every probe row's build group and sums the charges the
-/// row path makes per probe row (`1 + hits`), then commits the sum in one
+impl AtomKey for Option<JoinKey> {
+    type Live<'a> = &'a JoinKey;
+    type Hasher = std::collections::hash_map::RandomState;
+    fn live(&self) -> Option<&JoinKey> {
+        self.as_ref()
+    }
+}
+
+/// The build/probe loops of every vectorized hash join ([`AtomKey::live`]
+/// = `None` marks an unmatchable key). The build is two-pass — count per
+/// key, prefix-sum, scatter into one flat row-id array — so a build side
+/// of `k` distinct keys costs three allocations instead of `k` per-key
+/// vectors. The probe is two-pass as well: the first resolves every probe
+/// row's build group and sums the charges the row path makes per probe
+/// row (`1 + hits`), then commits the sum in one
 /// [`Meter::try_charge`](crate::exec::Meter::try_charge); the second
 /// emits. So nothing is emitted before the charge fits, and a join bomb
 /// fails before it allocates. Only when the commit is refused does the
@@ -1756,21 +1772,20 @@ impl AtomKey for (u64, u64) {
 fn join_atoms<K: AtomKey>(
     r: &Runner<'_>,
     kind: JoinKind,
-    lbits: &[K],
-    rbits: &[K],
+    lkeys: &[K],
+    rkeys: &[K],
 ) -> Result<Vec<(u32, u32)>, EngineError> {
     debug_assert!(kind != JoinKind::Cross, "cross joins never take the hash path");
     let bkeys = match kind {
-        JoinKind::Right => lbits,
-        _ => rbits,
+        JoinKind::Right => lkeys,
+        _ => rkeys,
     };
     r.meter.charge_join(bkeys.len() as u64)?;
     // Pass 1: group index per distinct key, count per group.
-    let mut groups: HashMap<K, u32, std::hash::BuildHasherDefault<U64Hasher>> =
-        HashMap::default();
+    let mut groups: HashMap<K::Live<'_>, u32, K::Hasher> = HashMap::default();
     let mut counts = r.pool.take_u32();
-    for &k in bkeys {
-        if !k.dead() {
+    for k in bkeys {
+        if let Some(k) = k.live() {
             match groups.entry(k) {
                 Entry::Occupied(e) => counts[*e.get() as usize] += 1,
                 Entry::Vacant(e) => {
@@ -1791,8 +1806,8 @@ fn join_atoms<K: AtomKey>(
     flat.resize(acc as usize, 0);
     let mut cursor = r.pool.take_u32();
     cursor.extend_from_slice(&starts);
-    for (bi, &k) in bkeys.iter().enumerate() {
-        if !k.dead() {
+    for (bi, k) in bkeys.iter().enumerate() {
+        if let Some(k) = k.live() {
             let g = groups[&k] as usize;
             flat[cursor[g] as usize] = bi as u32;
             cursor[g] += 1;
@@ -1802,9 +1817,9 @@ fn join_atoms<K: AtomKey>(
     // Pass 1: resolve each probe row's build group and sum the charges the
     // row path makes per probe row (`1 + hits`), emitting nothing yet.
     let probe = if kind == JoinKind::Right {
-        rbits
+        rkeys
     } else {
-        lbits
+        lkeys
     };
     let group_rows = |g: u32| -> &[u32] {
         match g {
@@ -1814,11 +1829,10 @@ fn join_atoms<K: AtomKey>(
     };
     let mut probe_groups = r.pool.take_u32();
     let mut charge = 0u64;
-    for &k in probe {
-        let g = if k.dead() {
-            NO_GROUP
-        } else {
-            groups.get(&k).copied().unwrap_or(NO_GROUP)
+    for k in probe {
+        let g = match k.live() {
+            Some(k) => groups.get(&k).copied().unwrap_or(NO_GROUP),
+            None => NO_GROUP,
         };
         charge += 1 + group_rows(g).len() as u64;
         probe_groups.push(g);
@@ -1834,7 +1848,7 @@ fn join_atoms<K: AtomKey>(
     let mut emits = r.pool.take_pairs();
     emits.reserve(probe.len());
     let mut right_matched =
-        if kind == JoinKind::Full { vec![false; rbits.len()] } else { Vec::new() };
+        if kind == JoinKind::Full { vec![false; rkeys.len()] } else { Vec::new() };
     for (pi, &g) in probe_groups.iter().enumerate() {
         let hits = group_rows(g);
         let pi = pi as u32;
@@ -1864,74 +1878,6 @@ fn join_atoms<K: AtomKey>(
     r.pool.put_u32(counts);
     r.pool.put_u32(starts);
     r.pool.put_u32(flat);
-    Ok(emits)
-}
-
-/// The generic build/probe loops over [`JoinKey`]s (`None` = unmatchable).
-/// Charge points and emission order are the row path's.
-fn hash_join_pairs<K: std::hash::Hash + Eq, S: std::hash::BuildHasher + Default>(
-    r: &Runner<'_>,
-    kind: JoinKind,
-    lkeys: &[Option<K>],
-    rkeys: &[Option<K>],
-) -> Result<Vec<(u32, u32)>, EngineError> {
-    let mut emits = r.pool.take_pairs();
-    match kind {
-        JoinKind::Inner | JoinKind::Left | JoinKind::Full => {
-            let mut table: HashMap<&K, Vec<u32>, S> = HashMap::default();
-            r.meter.charge_join(rkeys.len() as u64)?;
-            for (ri, k) in rkeys.iter().enumerate() {
-                if let Some(k) = k {
-                    table.entry(k).or_default().push(ri as u32);
-                }
-            }
-            let mut right_matched = vec![false; rkeys.len()];
-            for (li, k) in lkeys.iter().enumerate() {
-                let hits: &[u32] = match k {
-                    Some(k) => table.get(k).map(Vec::as_slice).unwrap_or(&[]),
-                    None => &[],
-                };
-                r.meter.charge_join(1 + hits.len() as u64)?;
-                for &ri in hits {
-                    emits.push((li as u32, ri));
-                    right_matched[ri as usize] = true;
-                }
-                if hits.is_empty() && kind != JoinKind::Inner {
-                    emits.push((li as u32, NONE_RID));
-                }
-            }
-            if kind == JoinKind::Full {
-                for (ri, m) in right_matched.iter().enumerate() {
-                    if !m {
-                        emits.push((NONE_RID, ri as u32));
-                    }
-                }
-            }
-        }
-        JoinKind::Right => {
-            let mut table: HashMap<&K, Vec<u32>, S> = HashMap::default();
-            r.meter.charge_join(lkeys.len() as u64)?;
-            for (li, k) in lkeys.iter().enumerate() {
-                if let Some(k) = k {
-                    table.entry(k).or_default().push(li as u32);
-                }
-            }
-            for (ri, k) in rkeys.iter().enumerate() {
-                let hits: &[u32] = match k {
-                    Some(k) => table.get(k).map(Vec::as_slice).unwrap_or(&[]),
-                    None => &[],
-                };
-                r.meter.charge_join(1 + hits.len() as u64)?;
-                for &li in hits {
-                    emits.push((li, ri as u32));
-                }
-                if hits.is_empty() {
-                    emits.push((NONE_RID, ri as u32));
-                }
-            }
-        }
-        JoinKind::Cross => unreachable!("cross joins never take the hash path"),
-    }
     Ok(emits)
 }
 

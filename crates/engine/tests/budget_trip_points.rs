@@ -76,6 +76,11 @@ const STATEMENTS: &[(&str, &str, bool)] = &[
         false,
     ),
     (
+        "hash join on generic keys",
+        "SELECT t.x, u.y FROM t JOIN u ON t.g = u.g AND u.g = 1 ORDER BY t.x, u.y",
+        false,
+    ),
+    (
         "left join then subquery",
         "SELECT t.x, u.y FROM t LEFT JOIN u ON t.g = u.g \
          WHERE t.x IN (SELECT y FROM u WHERE g = 1)",

@@ -349,8 +349,6 @@ fn mode_toggle_reuses_cached_plan() {
         ExecOptions::default(),
         ExecOptions { vectorized: false, ..Default::default() },
         ExecOptions { batch_size: Some(2), ..Default::default() },
-        ExecOptions { vectorized: false, hash_join: false, ..Default::default() },
-        ExecOptions { hash_join: false, ..Default::default() },
     ];
     let baseline = run_sql_with(&db, sql, ExecOptions::default()).expect("query runs");
     for (i, opts) in modes.iter().enumerate() {

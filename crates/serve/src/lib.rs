@@ -8,7 +8,7 @@
 //!   ping / SQL / NL-to-SQL ask / stats / shutdown) with a bounds-checked
 //!   incremental decoder that answers typed errors, never panics;
 //! * [`tenant`] — per-tenant namespaces, each owning its database set, its
-//!   own [`snails_engine::PlanCache`], and its own
+//!   own bounded [`snails_engine::PlanCache`], and its own
 //!   [`snails_engine::ExecLimits`] budget — isolation by construction;
 //! * [`server`] — bounded-queue admission control with typed load shedding,
 //!   request batching, worker fan-out (or a deterministic `--serial` poll
@@ -38,7 +38,7 @@ pub use protocol::{
     FrameReader, Message, ProtocolError, Request, Response, ServeError, TenantStats, WireValue,
 };
 pub use server::{Admission, ServeConfig, Server};
-pub use tenant::{Tenant, TenantSource, TenantSpec};
+pub use tenant::{Tenant, TenantSource, TenantSpec, TENANT_PLAN_CAPACITY};
 pub use transport::{InProcClient, Ticket, UnixClient, UnixServer};
 
 // The facade crate (and its `snails` binary) reaches obs report types

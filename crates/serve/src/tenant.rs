@@ -53,9 +53,17 @@ pub struct TenantSpec {
     pub databases: Vec<TenantSource>,
     /// Execution budgets applied to every statement this tenant runs.
     pub limits: ExecLimits,
-    /// Bound on the tenant's plan cache (`None` = unbounded).
-    pub cache_capacity: Option<usize>,
 }
+
+/// Plans each tenant's cache holds before evicting the oldest (FIFO).
+/// Statements that compile are cached even when they can only fail at
+/// execution (`SELECT * FROM missing_table_7` compiles), so without a
+/// bound a client streaming distinct statements grows a tenant's memory
+/// without limit. The shipped workloads stay well under it: the 503 gold
+/// statements of all nine databases plus one predicted statement per
+/// question for each of the five models come to at most 3,018 distinct
+/// statements, and the load suite adds at most 1,000 more.
+pub const TENANT_PLAN_CAPACITY: usize = 4096;
 
 impl TenantSpec {
     /// A guarded tenant over full SNAILS databases.
@@ -64,7 +72,6 @@ impl TenantSpec {
             name: name.to_owned(),
             databases: databases.into_iter().map(TenantSource::Full).collect(),
             limits: ExecLimits::guarded(),
-            cache_capacity: None,
         }
     }
 }
@@ -117,7 +124,8 @@ pub struct Tenant {
     pub name: String,
     /// Databases keyed by uppercased name.
     dbs: BTreeMap<String, TenantDb>,
-    /// The tenant's private plan cache.
+    /// The tenant's private plan cache, bounded at
+    /// [`TENANT_PLAN_CAPACITY`] plans.
     pub plans: PlanCache,
     limits: ExecLimits,
     /// Live request accounting.
@@ -142,10 +150,7 @@ impl Tenant {
         Tenant {
             name: spec.name,
             dbs,
-            plans: match spec.cache_capacity {
-                Some(c) => PlanCache::with_capacity(c),
-                None => PlanCache::new(),
-            },
+            plans: PlanCache::with_capacity(TENANT_PLAN_CAPACITY),
             limits: spec.limits,
             counters: TenantCounters::default(),
         }

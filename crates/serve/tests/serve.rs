@@ -6,7 +6,9 @@ use snails_engine::{Database, DataType, ExecLimits, TableSchema, Value};
 use snails_serve::load::{run_serial, run_unix_lockstep, DbWorkload, LoadPlan, TenantWorkload};
 use snails_serve::server::{ServeConfig, Server};
 use snails_serve::transport::{InProcClient, UnixClient, UnixServer};
-use snails_serve::{Request, Response, ServeError, TenantSource, TenantSpec};
+use snails_serve::{
+    Request, Response, ServeError, Tenant, TenantSource, TenantSpec, TENANT_PLAN_CAPACITY,
+};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -34,7 +36,6 @@ fn raw_spec(tenant: &str, rows: &[(i64, &str)]) -> TenantSpec {
         name: tenant.to_owned(),
         databases: vec![TenantSource::Raw { name: "sales".into(), db: sales_db(rows) }],
         limits: ExecLimits::guarded(),
-        cache_capacity: None,
     }
 }
 
@@ -207,6 +208,27 @@ fn unknown_tenant_database_and_question_get_typed_errors() {
     let bad = client.call(sql_text("acme", "SELEC nope"));
     assert!(matches!(err(bad), ServeError::Engine(_)));
     server.shutdown();
+}
+
+#[test]
+fn tenant_plan_cache_is_bounded_and_evicted_statements_still_answer() {
+    // Each missing-table statement compiles (the error surfaces only at
+    // execution), so each one takes a cache slot.
+    let tenant = Tenant::new(raw_spec("acme", &[(1, "acme-alpha")]));
+    let sql = |n: usize| format!("SELECT * FROM missing_table_{n}");
+    let first = tenant.run_sql("sales", &sql(0)).expect_err("the table is missing");
+    assert!(matches!(first, ServeError::Engine(_)), "{first:?}");
+    for n in 1..TENANT_PLAN_CAPACITY + 10 {
+        assert!(tenant.run_sql("sales", &sql(n)).is_err());
+    }
+    assert_eq!(tenant.plans.len(), TENANT_PLAN_CAPACITY);
+    assert_eq!(tenant.plans.evictions(), 10);
+    // The oldest statement was evicted first; it compiles again and gives
+    // the same answer.
+    let misses = tenant.plans.misses();
+    assert_eq!(tenant.run_sql("sales", &sql(0)).expect_err("still missing"), first);
+    assert_eq!(tenant.plans.misses(), misses + 1, "the evicted plan was recompiled");
+    assert_eq!(tenant.plans.len(), TENANT_PLAN_CAPACITY);
 }
 
 fn sql_text(tenant: &str, sql: &str) -> Request {

@@ -267,4 +267,29 @@ grep -q '"serve":"goodbye","responses":18' "$serve_log" || {
 }
 echo "    6 clients x 3 requests over the socket, 0 dropped, clean goodbye"
 
+echo "==> snails sql (compiled plans: a gold join both ways, then a too-deep statement)"
+# The NTSB q27 gold join must answer, and answer the same bytes when its ON
+# predicate is rewritten as `(p) OR 1 = 0`, which keeps p's truth value but
+# runs the join as a nested loop instead of a hash join. A statement nesting
+# 5,000 parentheses must be refused with exit 1 (a parse error), not abort.
+q27_select="SELECT e.MODELCAT, COUNT(*) FROM VHMD e JOIN CRASHCASE o ON"
+q27_hash=$("$snails" sql NTSB "$q27_select e.MODELCD = o.MODELCD GROUP BY e.MODELCAT")
+q27_nested=$("$snails" sql NTSB "$q27_select (e.MODELCD = o.MODELCD) OR 1 = 0 GROUP BY e.MODELCAT")
+[ -n "$q27_hash" ] || {
+    echo "error: snails sql printed nothing for the q27 gold join" >&2
+    exit 1
+}
+[ "$q27_hash" = "$q27_nested" ] || {
+    echo "error: the q27 join differs between its hash and nested-loop forms" >&2
+    exit 1
+}
+deep_sql="SELECT $(printf '(%.0s' $(seq 1 5000))1$(printf ')%.0s' $(seq 1 5000))"
+deep_status=0
+"$snails" sql CWO "$deep_sql" > /dev/null 2>&1 || deep_status=$?
+[ "$deep_status" -eq 1 ] || {
+    echo "error: snails sql exited $deep_status on 5,000 nested parentheses (want 1)" >&2
+    exit 1
+}
+echo "    q27 join $(echo "$q27_hash" | wc -l) lines, identical both ways; 5,000-deep statement refused"
+
 echo "==> all checks passed"

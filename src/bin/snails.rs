@@ -22,7 +22,7 @@
 //! ```
 
 use snails::core::telemetry;
-use snails::engine::{run_sql_with, DataType, ExecOptions, TableSchema};
+use snails::engine::{compile, run_sql_with, DataType, EngineError, ExecOptions, TableSchema};
 use snails::naturalness::{Classifier, Naturalness, NaturalnessProfile};
 use snails::prelude::*;
 use std::sync::Arc;
@@ -381,7 +381,11 @@ fn sql(args: &[String]) {
         std::process::exit(2);
     };
     let db = build_database(name);
-    match run_sql(&db.db, query) {
+    let result = snails::sql::parse(query)
+        .map_err(EngineError::from_parse)
+        .and_then(|stmt| compile(&db.db, &stmt))
+        .and_then(|plan| plan.execute(&db.db, ExecOptions::default()));
+    match result {
         Ok(rs) => print!("{rs}"),
         Err(e) => {
             eprintln!("error: {e}");
@@ -613,29 +617,7 @@ fn bench(args: &[String]) {
         }
     }
 
-    // Join kernels on the join-heavy gold queries (NTSB: composite-key
-    // joins, Table 3): the full gold suite with the hash join off and on.
     let db = build_database("NTSB");
-    let joins: Vec<&GoldPair> = db
-        .questions
-        .iter()
-        .filter(|p| p.sql.to_ascii_uppercase().contains(" JOIN "))
-        .collect();
-    let time_suite = |opts: ExecOptions| {
-        let t = Instant::now();
-        for p in &joins {
-            let _ = run_sql_with(&db.db, &p.sql, opts);
-        }
-        ms(t)
-    };
-    let nested_ms = time_suite(ExecOptions { hash_join: false, ..Default::default() });
-    let hash_ms = time_suite(ExecOptions::default());
-    emit(format!(
-        "{{\"bench\":\"gold_joins\",\"database\":\"NTSB\",\"queries\":{},\
-         \"nested_ms\":{nested_ms:.1},\"hash_ms\":{hash_ms:.1},\"speedup\":{:.1}}}",
-        joins.len(),
-        nested_ms / hash_ms
-    ));
 
     // Plan-once-execute-many: the full NTSB gold workload executed `REPS`
     // times — lex/parse/name-resolve on every execution (interpret) vs
