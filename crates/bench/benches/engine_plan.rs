@@ -15,9 +15,8 @@ fn bench_plan(c: &mut Criterion) {
     let db = snails_data::build_database("CWO");
     let opts = ExecOptions::default();
 
-    // Full gold workload, parse-and-interpret per execution (the baseline
-    // `exec_gold_workload_cwo` in engine_exec.rs measures the same loop;
-    // repeated here so the A/B pair lives in one report).
+    // Full gold workload, parse-and-interpret per execution: the baseline
+    // side of the A/B pair.
     c.bench_function("plan_gold_workload_interpret", |b| {
         b.iter(|| {
             for q in &db.questions {

@@ -66,16 +66,9 @@ impl ExecLimits {
 /// Execution options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Run compiled plans ([`crate::plan::CompiledPlan::execute`]) through
-    /// the batch-at-a-time columnar executor (`crate::vector`), the
-    /// default. The vectorized path produces byte-identical result sets,
-    /// errors, and budget-exhaustion points to the row-at-a-time plan
-    /// runner; the flag exists for A/B timing and differential testing.
-    /// The AST interpreter ([`execute_with`]) ignores it — it *is* the
-    /// row-at-a-time oracle.
-    pub vectorized: bool,
-    /// Batch granularity (rows per batch) for the vectorized executor.
-    /// Purely a blocking factor: results are identical for any value ≥ 1
+    /// Batch granularity (rows per batch) for compiled plans
+    /// ([`crate::plan::CompiledPlan::execute`]); the AST interpreter
+    /// ([`execute_with`]) ignores it. Purely a blocking factor: results are identical for any value ≥ 1
     /// (values below 1 are clamped). `None` — the default — picks the
     /// size per query block from the block's live column width via
     /// [`adaptive_batch_size`], so a batch's working set fits in L2
@@ -124,7 +117,6 @@ pub fn adaptive_batch_size(width: usize) -> usize {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            vectorized: true,
             batch_size: None,
             optimize: true,
             limits: ExecLimits::UNLIMITED,

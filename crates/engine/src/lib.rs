@@ -25,25 +25,28 @@
 //! Compiled plans ([`compile`], [`PlanCache`]) are the only production
 //! path: gold and predicted SQL in the benchmark grid, serve `Sql` and
 //! `Ask` requests, and `snails sql` all run through
-//! [`CompiledPlan::execute`]. It runs every query block as a fused
-//! vectorized pipeline ([`vector`]) over each table's dictionary-encoded
-//! columnar mirror — scans are refcount bumps, `WHERE` emits a selection
-//! vector straight into the block tail, equi-key joins build and probe
-//! over row ids (other joins take the row runner's nested loop), and rows
-//! materialize only at the final projection.
+//! [`CompiledPlan::execute`]. One block loop ([`vector`]) runs every query
+//! block of a plan — the top level, derived tables and views, `UNION`
+//! arms, and correlated and uncorrelated subqueries — as a fused
+//! vectorized pipeline over each table's dictionary-encoded columnar
+//! mirror: scans are refcount bumps, `WHERE` emits a selection vector
+//! straight into the block tail, equi-key joins build and probe over row
+//! ids, and rows materialize only at the final projection.
 //!
-//! A scope the vector kernels cannot prove error-free (a subquery, a
-//! frozen plan-time error, a row-level kernel error) bails out with
-//! `Unvec` and re-runs on the row-at-a-time plan `Runner`, whose results,
-//! errors, and budget charges are the contract the vectorized path
-//! reproduces byte for byte. The same runner serves
-//! `ExecOptions { vectorized: false, .. }`, kept for A/B timing.
+//! What the vector kernels cannot prove error-free (a subquery, an
+//! outer-row reference, a frozen plan-time error, a row-level kernel
+//! error, a non-equi or cross join) bails out with `Unvec` to the
+//! row-at-a-time fallbacks of the per-execution plan `Runner` — scalar
+//! evaluation, the block tail, and the hash and nested-loop joins — which
+//! evaluate under the enclosing row and reproduce the interpreter's
+//! results, errors, and budget charges byte for byte. The runner runs no
+//! block itself.
 //!
 //! The AST interpreter ([`execute_with`], behind [`run_sql`] and
 //! [`run_sql_with`]) is the differential-testing oracle. Only tests,
 //! `snails bench` and the frozen benchmark under `perfbench/` reach it:
-//! the equivalence suites under `tests/` compare both compiled paths
-//! against it, and the benchmarks use it as their independent reference.
+//! the equivalence suites under `tests/` compare compiled plans against
+//! it, and the benchmarks use it as their independent reference.
 
 pub mod batch;
 pub mod catalog;

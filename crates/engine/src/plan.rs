@@ -279,18 +279,15 @@ pub fn compile(db: &Database, stmt: &Statement) -> Result<CompiledPlan, EngineEr
 }
 
 impl CompiledPlan {
-    /// Execute the plan against `db`.
+    /// Execute the plan against `db` on the vectorized block loop
+    /// ([`crate::vector`]), which runs every block of the plan: the top
+    /// level, derived tables and views, `UNION` arms and subqueries.
     ///
     /// Output-identical to running the original statement through
-    /// [`crate::execute_with`] with the same options, provided `db` has the
-    /// same structure it had at compile time.
-    ///
-    /// A plan is **mode-agnostic**: [`compile`] takes no [`ExecOptions`],
-    /// so the same `CompiledPlan` serves the vectorized executor
-    /// (`opts.vectorized`, the default — see [`crate::vector`]) and the
-    /// row-at-a-time runner alike; the dispatch happens here, per
-    /// execution. Both paths produce byte-identical results, errors, and
-    /// budget accounting.
+    /// [`crate::execute_with`] with the same options — results, errors,
+    /// and budget accounting — provided `db` has the same structure it had
+    /// at compile time. [`compile`] takes no [`ExecOptions`], so one plan
+    /// serves any budget and batch size.
     pub fn execute(&self, db: &Database, opts: ExecOptions) -> Result<ResultSet, EngineError> {
         if db.name != self.db_name {
             return Err(EngineError::Catalog {
@@ -300,11 +297,8 @@ impl CompiledPlan {
                 ),
             });
         }
-        if opts.vectorized {
-            return crate::vector::execute_plan(self, db, opts);
-        }
         let runner = Runner::new(db, opts);
-        let result = runner.run_select(&self.root, None);
+        let result = crate::vector::run_select(&runner, &self.root, None);
         record_statement(&runner.meter, &result);
         result
     }
@@ -832,6 +826,13 @@ struct MemoBlock {
     join_rows: u64,
 }
 
+/// Per-execution state of one compiled statement — the budget meter, the
+/// subquery memo, and the buffer pool — plus the row-at-a-time fallbacks
+/// the vectorized block loop ([`crate::vector`]) delegates to: scalar
+/// evaluation ([`Self::eval`], [`Self::eval_grouped`]), the block tail
+/// ([`Self::tail`]), the scalar joins ([`Self::hash_join`],
+/// [`Self::nested_join`]) and subquery evaluation
+/// ([`Self::run_subquery`]). The runner runs no query block itself.
 pub(crate) struct Runner<'a> {
     pub(crate) db: &'a Database,
     pub(crate) opts: ExecOptions,
@@ -841,8 +842,9 @@ pub(crate) struct Runner<'a> {
     /// with the budget each block's first run charged. See
     /// [`Self::run_subquery`].
     subquery_memo: RefCell<HashMap<usize, MemoBlock>>,
-    /// Hot-loop buffer pool for the vectorized executors (see
-    /// [`crate::batch::BatchPool`]); unused on the scalar path.
+    /// Hot-loop buffer pool of the vectorized block loop (see
+    /// [`crate::batch::BatchPool`]), shared by every block of the
+    /// execution, subqueries included.
     pub(crate) pool: crate::batch::BatchPool,
 }
 
@@ -857,10 +859,11 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Run a subquery block under `frame`. Correlated blocks re-run per
-    /// outer row, exactly like the interpreter. A block proven
-    /// uncorrelated at plan time runs for real once per statement
-    /// execution; its result cannot depend on `frame`, so later
+    /// Run a subquery block under `frame` on the vectorized block loop.
+    /// Correlated blocks re-run per outer row, exactly like the
+    /// interpreter. A block proven uncorrelated at plan time runs for
+    /// real once per statement execution; its result cannot depend on
+    /// `frame`, so later
     /// evaluations replay it from the memo and charge the steps and join
     /// rows its first run charged, in one [`Meter::try_charge`]. The
     /// meter then ends where re-running the block would have left it.
@@ -877,7 +880,7 @@ impl<'a> Runner<'a> {
         uncorrelated: bool,
     ) -> Result<Rc<ResultSet>, EngineError> {
         if !uncorrelated {
-            return self.run_select(q, Some(frame)).map(Rc::new);
+            return crate::vector::run_select(self, q, Some(frame)).map(Rc::new);
         }
         let key = q as *const CSelect as usize;
         if let Some(m) = self.subquery_memo.borrow().get(&key) {
@@ -887,7 +890,7 @@ impl<'a> Runner<'a> {
             }
         }
         let (steps, join_rows) = (self.meter.steps_used(), self.meter.join_rows_used());
-        let rows = Rc::new(self.run_select(q, Some(frame))?);
+        let rows = Rc::new(crate::vector::run_select(self, q, Some(frame))?);
         let memo = MemoBlock {
             rows: Rc::clone(&rows),
             steps: self.meter.steps_used() - steps,
@@ -897,85 +900,14 @@ impl<'a> Runner<'a> {
         Ok(rows)
     }
 
-    /// Depth-guarded entry point for a compiled block, mirroring the
-    /// interpreter's `select` wrapper.
-    pub(crate) fn run_select(
-        &self,
-        sel: &CSelect,
-        outer: Option<&Frame<'_>>,
-    ) -> Result<ResultSet, EngineError> {
-        self.meter.enter_block()?;
-        let result = self.run_select_inner(sel, outer);
-        self.meter.exit_block();
-        result
-    }
-
-    fn run_select_inner(
-        &self,
-        sel: &CSelect,
-        outer: Option<&Frame<'_>>,
-    ) -> Result<ResultSet, EngineError> {
-        // FROM and JOINs.
-        let mut rows = match &sel.source {
-            Some(src) => self.load_source(src)?,
-            None => vec![Vec::new()],
-        };
-        for join in &sel.joins {
-            let right = self.load_source(&join.source)?;
-            rows = self.join(sel, rows, right, join, outer)?;
-            snails_obs::observe(Obs::EngineOpJoinRows, rows.len() as u64);
-        }
-
-        // WHERE.
-        if let Some(pred) = sel.where_clause {
-            self.meter.charge_steps(rows.len() as u64)?;
-            let mut kept = Vec::new();
-            for row in rows {
-                let frame = Frame { row: &row, parent: outer };
-                if truth(&self.eval(sel, pred, &frame)?) == Some(true) {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-            snails_obs::observe(Obs::EngineOpFilterRows, rows.len() as u64);
-        }
-
-        let mut result = self.tail(sel, rows, outer)?;
-
-        // UNION [ALL].
-        if let Some((kind, rhs)) = &sel.union {
-            let rhs_rs = self.run_select(rhs, outer)?;
-            if rhs_rs.column_count() != result.column_count() {
-                return Err(EngineError::type_error(format!(
-                    "UNION arity mismatch: {} vs {} columns",
-                    result.column_count(),
-                    rhs_rs.column_count()
-                )));
-            }
-            result.rows.extend(rhs_rs.rows);
-            if *kind == UnionKind::Distinct {
-                let mut seen: HashSet<Vec<HashKey>> = HashSet::new();
-                result.rows.retain(|row| seen.insert(row.iter().map(Value::hash_key).collect()));
-            }
-        }
-
-        if let Some(budget) = self.opts.limits.max_output_rows {
-            if result.rows.len() as u64 > budget {
-                return Err(EngineError::resource_exhausted("output row budget", budget));
-            }
-        }
-
-        Ok(result)
-    }
-
     /// The post-`WHERE` stages of one block — projection-error surfacing,
     /// grouping, `HAVING`, projection, `DISTINCT`, `ORDER BY`, `TOP` —
-    /// over already-filtered `rows`. Factored out of `run_select_inner` so
-    /// the vectorized executor (`crate::vector`) can hand exactly these
-    /// semantics a materialized row set when a block's unit expressions
-    /// contain subqueries (or the input is empty) and scalar evaluation is
-    /// the cheapest exact path. `UNION` and the output-row budget stay in
-    /// the caller.
+    /// over already-filtered `rows`, row at a time under `outer`. The
+    /// vectorized block loop (`crate::vector`) hands it a materialized row
+    /// set when a block's unit expressions contain subqueries or
+    /// outer-row references (or the input is empty) and scalar evaluation
+    /// is the cheapest exact path. `UNION` and the output-row budget stay
+    /// in the caller.
     pub(crate) fn tail(
         &self,
         sel: &CSelect,
@@ -1097,40 +1029,6 @@ impl<'a> Runner<'a> {
         }
 
         Ok(ResultSet { columns: out_columns.clone(), rows: out_rows })
-    }
-
-    fn load_source(&self, src: &CSource) -> Result<Vec<Vec<Value>>, EngineError> {
-        match src {
-            CSource::Table { name, .. } => {
-                let t = self
-                    .db
-                    .table(name)
-                    .ok_or_else(|| EngineError::UnknownTable { name: name.clone() })?;
-                self.meter.charge_steps(t.rows.len() as u64)?;
-                snails_obs::observe(Obs::EngineOpScanRows, t.rows.len() as u64);
-                Ok(t.rows.clone())
-            }
-            CSource::Sub { plan, .. } => {
-                let rows = self.run_select(plan, None)?.rows;
-                snails_obs::observe(Obs::EngineOpScanRows, rows.len() as u64);
-                Ok(rows)
-            }
-            CSource::Missing(name) => Err(EngineError::UnknownTable { name: name.clone() }),
-        }
-    }
-
-    fn join(
-        &self,
-        sel: &CSelect,
-        left: Vec<Vec<Value>>,
-        right: Vec<Vec<Value>>,
-        join: &CJoin,
-        outer: Option<&Frame<'_>>,
-    ) -> Result<Vec<Vec<Value>>, EngineError> {
-        if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
-            return self.hash_join(sel, left, right, join, keys, outer);
-        }
-        self.nested_join(sel, left, right, join, outer)
     }
 
     /// Build/probe hash join — identical structure, charge points, and

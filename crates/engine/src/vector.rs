@@ -1,46 +1,47 @@
-//! Batch-at-a-time columnar execution of [`CompiledPlan`]s.
+//! Batch-at-a-time columnar execution of [`CompiledPlan`]s — the one
+//! block loop.
 //!
-//! The row-at-a-time plan runner ([`crate::plan::Runner`]) clones every
-//! table row on scan, materializes every join output row, and evaluates
-//! expressions one row at a time. This module executes the *same* compiled
-//! IR over the columnar table mirrors built by [`crate::catalog::Table::
-//! columnar`]: scans are refcount bumps, joins carry row ids instead of
-//! cloned rows, predicates evaluate [`CExpr`] kernels over column slices
-//! into selection vectors, and rows are materialized only at final
-//! projection.
+//! [`run_select`] runs every query block of a plan: the top level, derived
+//! tables and views, `UNION` arms, and correlated and uncorrelated
+//! subqueries (entered from [`Runner::run_subquery`] with the enclosing row
+//! as the `outer` frame). It executes the compiled IR over the columnar
+//! table mirrors built by [`crate::catalog::Table::columnar`]: scans are
+//! refcount bumps, joins carry row ids instead of cloned rows, predicates
+//! evaluate [`CExpr`] kernels over column slices into selection vectors,
+//! and rows are materialized only at final projection.
 //!
 //! # Equivalence contract
 //!
-//! The vectorized path promises **byte-identical** behavior to the
-//! row-at-a-time runner: the same `ResultSet`s, the same `EngineError`s
-//! (including which error surfaces first), and the same
+//! Compiled execution promises **byte-identical** behavior to the AST
+//! interpreter ([`crate::execute_with`]): the same `ResultSet`s, the same
+//! `EngineError`s (including which error surfaces first), and the same
 //! [`ExecLimits`](crate::ExecLimits) accounting — a finite budget trips at
 //! the identical logical row. Two mechanisms make this cheap to guarantee:
 //!
 //! 1. **Pure-then-commit evaluation.** Vectorized expression evaluation is
 //!    side-effect free: no meter charges, no telemetry, no subquery runs.
-//!    Any node that *could* diverge — a subquery, a frozen plan-time error,
-//!    or any per-row kernel error (overflow, type error) — aborts the
-//!    vector attempt with [`Unvec`], and the affected scope is re-run
-//!    through the scalar runner, which **is** the oracle semantics. Because
-//!    vector evaluation is unmasked (it evaluates both `AND`/`OR` arms,
-//!    every `CASE` branch, every `IN` list item), it evaluates a superset
-//!    of what the short-circuiting scalar path evaluates, so every scalar
-//!    error is seen as a vector abort — spurious aborts merely cost a
-//!    scalar replay, never a wrong answer.
+//!    Any node that *could* diverge — a subquery, an outer-row slot, a
+//!    frozen plan-time error, or any per-row kernel error (overflow, type
+//!    error) — aborts the vector attempt with [`Unvec`], and the affected
+//!    scope is re-run through the [`Runner`]'s row-at-a-time fallbacks
+//!    under the `outer` frame; they mirror the interpreter arm by arm.
+//!    Because vector evaluation is unmasked (it evaluates both `AND`/`OR`
+//!    arms, every `CASE` branch, every `IN` list item), it evaluates a
+//!    superset of what the short-circuiting scalar path evaluates, so every
+//!    scalar error is seen as a vector abort — spurious aborts merely cost
+//!    a scalar replay, never a wrong answer.
 //! 2. **Identical charge sequences.** Bulk charges (scan, filter, group)
-//!    happen at the same sequence points as the row path. The hash-join
-//!    probe sums the row path's per-row charges and commits them in one
+//!    happen at the interpreter's sequence points. The hash-join probe sums
+//!    the interpreter's per-row charges and commits them in one
 //!    all-or-nothing step; only when that step is refused does it charge
-//!    row by row, in the row path's order, to trip at the row path's row.
+//!    row by row, in the interpreter's order, to trip at its row.
 //!    Fallbacks are decided *before* the first charge of the affected
-//!    scope, so a delegated scope replays the row path's exact
-//!    charge/error interleaving.
+//!    scope, so a delegated scope replays the exact charge/error
+//!    interleaving.
 //!
-//! The AST interpreter ([`crate::execute_with`]) and the row plan
-//! runner remain available (`ExecOptions { vectorized: false, .. }`) as
-//! differential-testing oracles; `tests/vector_equivalence.rs` fuzzes the
-//! three against each other.
+//! `tests/vector_equivalence.rs`, `tests/plan_equivalence.rs` and
+//! `tests/budget_trip_points.rs` check compiled plans against the
+//! interpreter.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -50,15 +51,14 @@ use snails_obs::Metric as Obs;
 use snails_sql::{BinOp, JoinKind, UnionKind};
 
 use crate::batch::{BatchPool, Bitmap, ColData, ColumnSet, Dict};
-use crate::catalog::Database;
 use crate::error::EngineError;
 use crate::exec::{
     adaptive_batch_size, bool_value, eval_binary, eval_unary, finish_aggregate, like_match,
-    record_statement, scalar_fn, truth, ExecOptions,
+    scalar_fn, truth,
 };
 use crate::plan::{
-    AggArg, CArg, CExpr, CItem, CJoin, COrder, CSelect, CSource, CUnit, CompiledPlan, ExprId,
-    Frame, GExpr, Runner,
+    AggArg, CArg, CExpr, CItem, CJoin, COrder, CSelect, CSource, CUnit, ExprId, Frame, GExpr,
+    Runner,
 };
 use crate::result::ResultSet;
 use crate::value::{HashKey, Value};
@@ -67,19 +67,6 @@ use crate::value::{HashKey, Value};
 const NONE_RID: u32 = u32::MAX;
 /// Probe-row group id of a key the build side does not hold.
 const NO_GROUP: u32 = u32::MAX;
-
-/// Execute `plan` through the vectorized engine. Entry point for
-/// [`CompiledPlan::execute`] when `opts.vectorized` is set.
-pub(crate) fn execute_plan(
-    plan: &CompiledPlan,
-    db: &Database,
-    opts: ExecOptions,
-) -> Result<ResultSet, EngineError> {
-    let runner = Runner::new(db, opts);
-    let result = run_select(&runner, &plan.root);
-    record_statement(&runner.meter, &result);
-    result
-}
 
 // ---------------------------------------------------------------------------
 // Relations: column sources + row-id permutations
@@ -145,7 +132,7 @@ impl Rel {
         }
     }
 
-    /// Reconstruct logical row `i` as the row path's combined row.
+    /// Reconstruct logical row `i` as the interpreter's combined row.
     fn materialize_row(&self, i: usize) -> Vec<Value> {
         self.col_map
             .iter()
@@ -880,7 +867,7 @@ impl<'a> Ev<'a> {
                     }
                     VCol::Const(_) => Err(Unvec),
                     VCol::I64 { valid, .. } | VCol::F64 { valid, .. } => {
-                        // Any valid row is a type error in the row path.
+                        // Any valid row is a type error in the interpreter.
                         if (0..rows.len()).any(|i| valid.get(i)) {
                             Err(Unvec)
                         } else {
@@ -1163,16 +1150,29 @@ impl<'a> Ev<'a> {
 // Block execution
 // ---------------------------------------------------------------------------
 
-/// Depth-guarded vectorized execution of one block, mirroring
-/// [`Runner::run_select`].
-fn run_select(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineError> {
+/// Depth-guarded execution of one query block — the top level of a
+/// statement (`outer` = `None`), a derived table or view (`None`: they
+/// compile with no enclosing scope), a `UNION` arm (its block's `outer`),
+/// or a subquery (`Some(frame)` of the enclosing row, from
+/// [`Runner::run_subquery`]). The vector kernels never read `outer`:
+/// [`scalar_flags`] routes every outer-frame slot to the scalar
+/// fallbacks, which evaluate under it.
+pub(crate) fn run_select(
+    r: &Runner<'_>,
+    sel: &CSelect,
+    outer: Option<&Frame<'_>>,
+) -> Result<ResultSet, EngineError> {
     r.meter.enter_block()?;
-    let result = run_select_inner(r, sel);
+    let result = run_select_inner(r, sel, outer);
     r.meter.exit_block();
     result
 }
 
-fn run_select_inner(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineError> {
+fn run_select_inner(
+    r: &Runner<'_>,
+    sel: &CSelect,
+    outer: Option<&Frame<'_>>,
+) -> Result<ResultSet, EngineError> {
     let batch = r.opts.batch_size.unwrap_or_else(|| adaptive_batch_size(sel.width)).max(1);
     let flags = scalar_flags(sel);
 
@@ -1182,8 +1182,7 @@ fn run_select_inner(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineEr
         None => Rel::unit(),
     };
     for join in &sel.joins {
-        let right = load_source(r, &join.source, batch)?;
-        rel = join_step(r, sel, rel, right, join, batch, &flags)?;
+        rel = join_step(r, sel, rel, join, batch, &flags, outer)?;
         snails_obs::observe(Obs::EngineOpJoinRows, rel.len as u64);
     }
 
@@ -1192,19 +1191,19 @@ fn run_select_inner(r: &Runner<'_>, sel: &CSelect) -> Result<ResultSet, EngineEr
     // of row-id vectors) is never materialized.
     let mut fused_sel: Option<Vec<u32>> = None;
     if let Some(pred) = sel.where_clause {
-        fused_sel = Some(filter_sel(r, sel, &rel, pred, batch, &flags)?);
+        fused_sel = Some(filter_sel(r, sel, &rel, pred, batch, &flags, outer)?);
         snails_obs::add(Obs::EngineVecFusedPipelines, 1);
     }
-    let result = tail(r, sel, &rel, fused_sel.as_deref(), &flags);
+    let result = tail(r, sel, &rel, fused_sel.as_deref(), &flags, outer);
     if let Some(s) = fused_sel {
         r.pool.put_u32(s);
     }
     rel.recycle(&r.pool);
     let mut result = result?;
 
-    // UNION [ALL] — mirror of the row path, recursing vectorized.
+    // UNION [ALL]: the arm runs under the same enclosing scope.
     if let Some((kind, rhs)) = &sel.union {
-        let rhs_rs = run_select(r, rhs)?;
+        let rhs_rs = run_select(r, rhs, outer)?;
         if rhs_rs.column_count() != result.column_count() {
             return Err(EngineError::type_error(format!(
                 "UNION arity mismatch: {} vs {} columns",
@@ -1251,7 +1250,7 @@ fn load_source(r: &Runner<'_>, src: &CSource, batch: usize) -> Result<Rel, Engin
             Ok(Rel::from_set_pooled(cols, &r.pool))
         }
         CSource::Sub { plan, width } => {
-            let rs = run_select(r, plan)?;
+            let rs = run_select(r, plan, None)?;
             snails_obs::observe(Obs::EngineOpScanRows, rs.rows.len() as u64);
             let batches = rs.rows.len().div_ceil(batch) as u64;
             snails_obs::add(Obs::EngineVecBatches, batches);
@@ -1263,7 +1262,7 @@ fn load_source(r: &Runner<'_>, src: &CSource, batch: usize) -> Result<Rel, Engin
 }
 
 /// A filter pass producing a selection vector: bulk step charge (as the
-/// row path), then batch-at-a-time predicate evaluation over every row of
+/// interpreter), then batch-at-a-time predicate evaluation over every row of
 /// `rel`, falling back to per-row scalar evaluation for any batch the
 /// vector kernels cannot prove error-free. The returned keep-vector comes
 /// from the runner's pool; the caller hands it to the block tail and then
@@ -1275,6 +1274,7 @@ fn filter_sel(
     pred: ExprId,
     batch: usize,
     flags: &[bool],
+    outer: Option<&Frame<'_>>,
 ) -> Result<Vec<u32>, EngineError> {
     r.meter.charge_steps(rel.len as u64)?;
     let ev = Ev::new(sel, rel, flags, &r.pool);
@@ -1300,13 +1300,13 @@ fn filter_sel(
             }
             Err(Unvec) => {
                 // Scalar replay in row order: identical evaluation (and,
-                // via subqueries, identical charges) to the row path. Any
-                // dict-kernel rows the aborted attempt counted are rolled
-                // back — the batch was not vector-processed.
+                // via subqueries, identical charges) to the interpreter.
+                // Any dict-kernel rows the aborted attempt counted are
+                // rolled back — the batch was not vector-processed.
                 ev.dict_rows.set(dict_snap);
                 for &row in rows {
                     let vals = rel.materialize_row(row as usize);
-                    let frame = Frame { row: &vals, parent: None };
+                    let frame = Frame { row: &vals, parent: outer };
                     if truth(&r.eval(sel, pred, &frame)?) == Some(true) {
                         keep.push(row);
                     }
@@ -1332,19 +1332,22 @@ fn filter_sel(
 // Joins
 // ---------------------------------------------------------------------------
 
-/// One join step. Equi-key joins run the vectorized build/probe over row
-/// ids; everything else (non-equi `ON`, cross joins, keys the vector
-/// kernels cannot prove error-free) materializes both sides and delegates
-/// to the scalar runner, whose charge/error interleaving is the contract.
+/// One join step: load the right side, then join it to `left`. Equi-key
+/// joins run the vectorized build/probe over row ids; everything else
+/// (non-equi `ON`, cross joins, keys the vector kernels cannot prove
+/// error-free) materializes both sides and delegates to the scalar
+/// runner's join under `outer`, whose charge/error interleaving is the
+/// interpreter's.
 fn join_step(
     r: &Runner<'_>,
     sel: &CSelect,
     left: Rel,
-    right: Rel,
     join: &CJoin,
     batch: usize,
     flags: &[bool],
+    outer: Option<&Frame<'_>>,
 ) -> Result<Rel, EngineError> {
+    let right = load_source(r, &join.source, batch)?;
     let width = join.left_width + join.source.width();
     if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
         let lk = side_keys(sel, &left, keys, true, batch, flags, &r.pool);
@@ -1358,14 +1361,14 @@ fn join_step(
         let rrows = right.materialize_all();
         left.recycle(&r.pool);
         right.recycle(&r.pool);
-        let rows = r.hash_join(sel, lrows, rrows, join, keys, None)?;
+        let rows = r.hash_join(sel, lrows, rrows, join, keys, outer)?;
         return Ok(Rel::from_rows(width, &rows));
     }
     let lrows = left.materialize_all();
     let rrows = right.materialize_all();
     left.recycle(&r.pool);
     right.recycle(&r.pool);
-    let rows = r.nested_join(sel, lrows, rrows, join, None)?;
+    let rows = r.nested_join(sel, lrows, rrows, join, outer)?;
     Ok(Rel::from_rows(width, &rows))
 }
 
@@ -1492,7 +1495,7 @@ impl SideKeys {
 /// their typed form — numeric bit patterns or dictionary codes — for the
 /// code-space join loops; composite or mixed-shape keys degrade to
 /// [`SideKeys::Gen`], whose `None` entries mark unmatchable keys
-/// (NULL/NaN component), as in the row path's `side_key`.
+/// (NULL/NaN component), as in [`Runner::hash_join`]'s `side_key`.
 fn side_keys(
     sel: &CSelect,
     rel: &Rel,
@@ -1643,8 +1646,8 @@ fn hash_join_vec(
 /// Pair one key column across the two sides into `u64` atom vectors whose
 /// equality is exactly [`VKey`] equality. `build_right` names the build
 /// side for dictionary canonicalization (it does not affect emission
-/// order). A string column against a numeric column can never match (the
-/// row path's `HashKey` classes are disjoint), so the string side turns
+/// order). A string column against a numeric column can never match
+/// ([`HashKey`] classes are disjoint), so the string side turns
 /// all-[`DEAD_KEY`] — for emissions and charges, a live key that matches
 /// nothing is indistinguishable from a dead one. Rows streamed through
 /// the code translation accumulate into `dict_rows` for the caller to
@@ -1762,13 +1765,13 @@ impl AtomKey for Option<JoinKey> {
 /// key, prefix-sum, scatter into one flat row-id array — so a build side
 /// of `k` distinct keys costs three allocations instead of `k` per-key
 /// vectors. The probe is two-pass as well: the first resolves every probe
-/// row's build group and sums the charges the row path makes per probe
-/// row (`1 + hits`), then commits the sum in one
+/// row's build group and sums the charges the interpreter makes per
+/// probe row (`1 + hits`), then commits the sum in one
 /// [`Meter::try_charge`](crate::exec::Meter::try_charge); the second
 /// emits. So nothing is emitted before the charge fits, and a join bomb
 /// fails before it allocates. Only when the commit is refused does the
 /// probe walk the groups again charging row by row, which trips at the
-/// row path's row with the row path's counters.
+/// interpreter's row with the interpreter's counters.
 fn join_atoms<K: AtomKey>(
     r: &Runner<'_>,
     kind: JoinKind,
@@ -1815,7 +1818,7 @@ fn join_atoms<K: AtomKey>(
     }
     r.pool.put_u32(cursor);
     // Pass 1: resolve each probe row's build group and sum the charges the
-    // row path makes per probe row (`1 + hits`), emitting nothing yet.
+    // interpreter makes per probe row (`1 + hits`), emitting nothing yet.
     let probe = if kind == JoinKind::Right {
         rkeys
     } else {
@@ -1944,7 +1947,7 @@ fn tail_needs_scalar(sel: &CSelect, flags: &[bool]) -> bool {
 /// vector) or all of `rel` when `None`. Everything up to the commit point
 /// is *pure* pre-evaluation; any [`Unvec`] (or plain evaluation error)
 /// falls back to [`Runner::tail`] over the materialized selection, which
-/// — having made no charges yet — replays the row path's exact
+/// — having made no charges yet — replays the interpreter's exact
 /// charge/error interleaving.
 fn tail(
     r: &Runner<'_>,
@@ -1952,24 +1955,25 @@ fn tail(
     rel: &Rel,
     input: Option<&[u32]>,
     flags: &[bool],
+    outer: Option<&Frame<'_>>,
 ) -> Result<ResultSet, EngineError> {
-    // Plan-time projection errors surface here, exactly as in the row path.
+    // Plan-time projection errors surface here, exactly as in the interpreter.
     let (out_columns, items) = match &sel.projection {
         Ok(p) => p,
         Err(e) => return Err(e.clone()),
     };
     let n_input = input.map_or(rel.len, <[u32]>::len);
-    if tail_needs_scalar(sel, flags) {
-        return match input {
-            Some(s) => r.tail(sel, rel.materialize_sel(s), None),
-            None => r.tail(sel, rel.materialize_all(), None),
-        };
-    }
-    // Global aggregate over zero rows: the representative is a synthetic
-    // all-NULL row no selection vector can address — delegate (free: no
-    // charges precede it and there is nothing to materialize).
-    if sel.grouped && sel.group_by.is_empty() && n_input == 0 {
-        return r.tail(sel, Vec::new(), None);
+    let fallback = || match input {
+        Some(s) => r.tail(sel, rel.materialize_sel(s), outer),
+        None => r.tail(sel, rel.materialize_all(), outer),
+    };
+    // Delegate up front when the tail references anything the vector
+    // kernels refuse to touch, and for a global aggregate over zero rows,
+    // whose representative is a synthetic all-NULL row no selection vector
+    // can address (free: there is nothing to materialize).
+    if tail_needs_scalar(sel, flags) || (sel.grouped && sel.group_by.is_empty() && n_input == 0)
+    {
+        return fallback();
     }
 
     let ev = Ev::new(sel, rel, flags, &r.pool);
@@ -1985,10 +1989,6 @@ fn tail(
         Some(s) => s,
         None => iota_buf.as_deref().expect("iota built"),
     };
-    let fallback = || match input {
-        Some(s) => r.tail(sel, rel.materialize_sel(s), None),
-        None => r.tail(sel, rel.materialize_all(), None),
-    };
 
     // -- Pure phase ------------------------------------------------------
     // Units as representative row ids plus, when grouped, member row ids
@@ -1997,7 +1997,7 @@ fn tail(
     // grouping of `k` groups costs O(1) allocations, not `k` per-group
     // vectors). The ungrouped 1:1 case carries no member sets at all —
     // aggregates cannot appear ungrouped, so they are never consulted and
-    // the per-row singleton vectors the row path builds would be pure
+    // the per-row singleton vectors the scalar tail builds would be pure
     // allocator churn.
     let group_data: Option<GroupData> = if sel.grouped {
         if sel.group_by.is_empty() {
@@ -2015,7 +2015,7 @@ fn tail(
                 Err(Unvec) => return fallback(),
             };
             // Pass 1: group index per input position, in first-occurrence
-            // order (the row path's unit order).
+            // order (the interpreter's unit order).
             let mut gidx = r.pool.take_u32();
             let mut reps: Vec<u32> = Vec::new();
             let mut counts: Vec<u32> = Vec::new();
@@ -2110,7 +2110,7 @@ fn tail(
                 c.recycle(&r.pool);
             }
             // Pass 2: prefix-sum spans, stable scatter (within-group row
-            // order is input order, as the row path's push-per-row built).
+            // order is input order, as the interpreter's push-per-row builds).
             let mut spans: Vec<(u32, u32)> = Vec::with_capacity(counts.len());
             let mut acc = 0u32;
             for &c in &counts {
@@ -2150,7 +2150,7 @@ fn tail(
     };
 
     // Projection and ORDER BY unit keys over *all* units — a pure superset
-    // of the row path's post-HAVING evaluation, so extra work on filtered
+    // of the interpreter's post-HAVING evaluation, so extra work on filtered
     // units is unobservable.
     let mut item_vals: Vec<Vec<Value>> = Vec::with_capacity(items.len());
     for item in items {
@@ -2180,7 +2180,7 @@ fn tail(
     }
 
     // -- Commit phase ----------------------------------------------------
-    // Charges and observations in the row path's exact order. The pure
+    // Charges and observations in the interpreter's exact order. The pure
     // phase succeeded, so its dict-kernel row counts commit here too.
     let dict = ev.dict_rows.replace(0);
     if dict > 0 {
@@ -2247,7 +2247,7 @@ fn tail(
 }
 
 /// Owned grouped-unit layout out of the grouping pass: `(reps, flat,
-/// spans)` in the row path's first-occurrence unit order.
+/// spans)` in the interpreter's first-occurrence unit order.
 type GroupData = (Vec<u32>, Vec<u32>, Vec<(u32, u32)>);
 
 /// Grouped-unit member layout: `(flat, spans)` — member row ids of unit

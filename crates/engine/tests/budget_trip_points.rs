@@ -4,9 +4,9 @@
 //! to one past what the statement needs, and under no limits at all. The
 //! sweep trips a budget during a block's first run, during its 1st, 2nd
 //! and k-th replay from the per-execution memo, partway through a join
-//! probe, and never. At every budget the interpreter, the vectorized plan
-//! and the row plan must agree on the `Debug` bytes of the result or
-//! error and on the `engine.exec.steps`, `engine.exec.join_rows` and
+//! probe, and never. At every budget the interpreter and the compiled
+//! plan must agree on the `Debug` bytes of the result or error and on the
+//! `engine.exec.steps`, `engine.exec.join_rows` and
 //! `engine.limits.exhausted` observations; a compiled run that finishes a
 //! statement with an uncorrelated subquery must have replayed it.
 
@@ -132,8 +132,8 @@ struct Sweep<'a> {
 }
 
 impl Sweep<'_> {
-    /// Run the statement under `limits` through all three executors and
-    /// compare.
+    /// Run the statement under `limits` through the interpreter and the
+    /// compiled plan, and compare.
     fn check(&mut self, limits: ExecLimits) {
         let (db, sql, label) = (self.db, self.sql, self.label);
         let opts = ExecOptions {
@@ -142,18 +142,12 @@ impl Sweep<'_> {
         };
         let (oracle, oracle_replays, tripped) = observed(|| run_sql_with(db, sql, opts));
         assert_eq!(oracle_replays, 0, "{label}: the interpreter has no memo");
-        for vectorized in [true, false] {
-            let opts = ExecOptions { vectorized, ..opts };
-            let (run, replays, _) = observed(|| self.plans.run(db, sql, opts));
-            assert_eq!(
-                run, oracle,
-                "{label} under {limits:?}, vectorized: {vectorized}"
-            );
-            if tripped {
-                self.replays_at_trip.insert(replays);
-            } else if self.memoized {
-                assert!(replays > 0, "{label} under {limits:?}: no subquery replay");
-            }
+        let (run, replays, _) = observed(|| self.plans.run(db, sql, opts));
+        assert_eq!(run, oracle, "{label} under {limits:?}");
+        if tripped {
+            self.replays_at_trip.insert(replays);
+        } else if self.memoized {
+            assert!(replays > 0, "{label} under {limits:?}: no subquery replay");
         }
         if tripped {
             self.join_at_trip

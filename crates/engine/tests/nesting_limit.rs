@@ -65,19 +65,11 @@ fn statements_at_the_limit_run_on_a_worker_stack() {
             let interpreted = run_sql(&db, &sql).unwrap_or_else(|e| panic!("{shape}: {e}"));
             assert_eq!(interpreted.row_count(), 1, "{shape}");
             let cache = PlanCache::new();
-            for opts in [
-                ExecOptions::default(),
-                ExecOptions {
-                    vectorized: false,
-                    ..Default::default()
-                },
-            ] {
-                assert_eq!(
-                    cache.run(&db, &sql, opts),
-                    Ok(interpreted.clone()),
-                    "{shape}"
-                );
-            }
+            assert_eq!(
+                cache.run(&db, &sql, ExecOptions::default()),
+                Ok(interpreted.clone()),
+                "{shape}"
+            );
             // The served path: guarded budgets (which may refuse the
             // nested subqueries by their own typed error) agree too.
             let guarded = ExecOptions {

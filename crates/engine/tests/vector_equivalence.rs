@@ -1,10 +1,11 @@
-//! Vectorized ↔ row-at-a-time equivalence: for every generated query in
-//! the supported T-SQL subset, the vectorized executor must produce a
-//! byte-identical outcome to both the row-at-a-time plan runner and the
-//! interpreter — the same `ResultSet` on success, the same `EngineError`
-//! on failure (including which error surfaces first), and the same
-//! `ExecLimits` exhaustion point under finite budgets — at every batch
-//! size, and with a deterministic telemetry section at any thread count.
+//! Compiled ↔ interpreted equivalence: for every generated query in the
+//! supported T-SQL subset, compiled plans — every block of which runs on
+//! the vectorized block loop — must produce a byte-identical outcome to
+//! the AST interpreter: the same `ResultSet` on success, the same
+//! `EngineError` on failure (including which error surfaces first), and
+//! the same `ExecLimits` exhaustion point under finite budgets — at every
+//! batch size, and with a deterministic telemetry section at any thread
+//! count.
 
 use proptest::prelude::*;
 use snails_engine::{
@@ -204,16 +205,13 @@ fn arb_batch() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(3), Just(7), Just(256), Just(1024), Just(4096)]
 }
 
-/// Full-outcome comparison of the three executors under `limits`:
-/// interpreter (the root oracle), the row-at-a-time plan runner, and the
-/// vectorized plan runner at `batch` — `Ok` matches field-for-field, `Err`
-/// variant-for-variant.
+/// Full-outcome comparison under `limits` of the interpreter (the oracle)
+/// and a compiled plan at `batch`, cold and warm — `Ok` matches
+/// field-for-field, `Err` variant-for-variant.
 fn assert_equivalent(db: &Database, sql: &str, batch: usize, limits: ExecLimits) {
     let base = ExecOptions { limits, ..Default::default() };
     let interpreted = run_sql_with(db, sql, base);
-    let row = PlanCache::new().run(db, sql, ExecOptions { vectorized: false, ..base });
-    assert_eq!(row, interpreted, "row plan diverged for {sql:?}");
-    let vec_opts = ExecOptions { vectorized: true, batch_size: Some(batch), ..base };
+    let vec_opts = ExecOptions { batch_size: Some(batch), ..base };
     let cache = PlanCache::new();
     let cold = cache.run(db, sql, vec_opts);
     assert_eq!(cold, interpreted, "vectorized (batch {batch}) diverged for {sql:?}");
@@ -226,7 +224,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
     /// Unlimited budgets, every batch size: vectorized execution is
-    /// byte-identical to the interpreter and the row plan runner.
+    /// byte-identical to the interpreter.
     #[test]
     fn vector_matches_interpreter(sql in arb_query(), batch in arb_batch()) {
         let db = fixture();
@@ -318,27 +316,9 @@ fn vector_telemetry_deterministic_across_threads() {
     }
 }
 
-/// Shared metrics — everything except the vectorized-only instruments —
-/// agree exactly between the vectorized and row-at-a-time plan paths: the
-/// logical work (rows scanned/filtered/joined/grouped, steps, join rows,
-/// statements) is mode-invariant.
-#[test]
-fn shared_metrics_agree_with_row_path() {
-    let strip_vec_only = |ctx: Arc<ObsCtx>| {
-        let mut section = ctx.report().metrics.deterministic.clone();
-        section.counters.retain(|k, _| !k.starts_with("engine.vec.") && !k.ends_with(".batches"));
-        section.histograms.retain(|k, _| !k.starts_with("engine.vec."));
-        section.to_json()
-    };
-    let vec_json = strip_vec_only(run_workload(1, ExecOptions::default()));
-    let row_json =
-        strip_vec_only(run_workload(1, ExecOptions { vectorized: false, ..Default::default() }));
-    assert_eq!(vec_json, row_json, "shared deterministic metrics diverged across modes");
-}
-
-/// Compiled plans are execution-mode-agnostic: toggling `vectorized` (or
-/// the batch size) over one `PlanCache` serves the *same* cached plan —
-/// one miss, then hits — and every execution mode returns identical rows.
+/// Compiled plans are execution-mode-agnostic: toggling the batch size
+/// over one `PlanCache` serves the *same* cached plan — one miss, then
+/// hits — and every execution mode returns identical rows.
 #[test]
 fn mode_toggle_reuses_cached_plan() {
     let db = fixture();
@@ -347,7 +327,6 @@ fn mode_toggle_reuses_cached_plan() {
                GROUP BY t.name ORDER BY t.name";
     let modes = [
         ExecOptions::default(),
-        ExecOptions { vectorized: false, ..Default::default() },
         ExecOptions { batch_size: Some(2), ..Default::default() },
     ];
     let baseline = run_sql_with(&db, sql, ExecOptions::default()).expect("query runs");
@@ -358,6 +337,63 @@ fn mode_toggle_reuses_cached_plan() {
     assert_eq!(cache.misses(), 1, "first lookup compiles once");
     assert_eq!(cache.hits(), modes.len() as u64 - 1, "every toggle reuses the plan");
     assert_eq!(cache.len(), 1, "one plan serves every mode");
+}
+
+/// Correlated blocks on the vectorized block loop: each statement nests a
+/// block that reads the enclosing row through a scalar fallback — a `UNION`
+/// arm's filter, the filter replay, a nested-loop join's `ON` (a non-equi
+/// predicate, and an equi predicate with an outer-row conjunct that the
+/// hash join refuses), and the tail's delegation with and without a
+/// `WHERE` selection (projection, `HAVING`). Each must match the
+/// interpreter at several batch sizes, unbudgeted and under tight budgets.
+#[test]
+fn correlated_blocks_carry_the_outer_row_through_every_fallback() {
+    const STATEMENTS: &[&str] = &[
+        "SELECT id FROM t WHERE EXISTS (SELECT id FROM u WHERE u.t_id = t.id \
+         UNION SELECT id FROM v WHERE v.u_id = t.id)",
+        "SELECT id FROM t WHERE EXISTS (SELECT u.id FROM u JOIN v ON u.amount > v.u_id + t.id)",
+        "SELECT id FROM t WHERE EXISTS \
+         (SELECT u.id FROM u JOIN v ON u.id = v.u_id AND v.u_id = t.id)",
+        "SELECT id, (SELECT MAX(amount) + t.id FROM u WHERE u.t_id = t.id) AS m FROM t",
+        "SELECT id, (SELECT MAX(amount) + t.id FROM u) AS m FROM t",
+        "SELECT id FROM t WHERE EXISTS (SELECT t_id FROM u GROUP BY t_id HAVING COUNT(*) > t.id)",
+    ];
+    let db = fixture();
+    let mut limits = vec![ExecLimits::UNLIMITED];
+    for steps in [10u64, 60, 400] {
+        for join_rows in [8u64, 120] {
+            for depth in 1u32..3 {
+                limits.push(ExecLimits {
+                    max_steps: Some(steps),
+                    max_join_rows: Some(join_rows),
+                    max_output_rows: Some(50),
+                    max_subquery_depth: Some(depth),
+                });
+            }
+        }
+    }
+    for sql in STATEMENTS {
+        for batch in [1usize, 3, 1024] {
+            for &l in &limits {
+                assert_equivalent(&db, sql, batch, l);
+            }
+        }
+    }
+
+    // The subquery block ran on the vectorized loop: one scan batch for
+    // `t`, plus one for `u` in each of the 20 per-row runs of the block.
+    let ctx = Arc::new(ObsCtx::new(ClockMode::Sim));
+    {
+        let _scope = snails_obs::scope(&ctx);
+        PlanCache::new()
+            .run(
+                &db,
+                "SELECT id FROM t WHERE EXISTS (SELECT id FROM u WHERE u.t_id = t.id)",
+                ExecOptions::default(),
+            )
+            .expect("correlated EXISTS runs");
+    }
+    assert_eq!(ctx.report().counter("engine.op.scan.batches"), 21);
 }
 
 // ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ fn audit(args: &[String]) {
         eprintln!("audit: database name required (see `snails list`)");
         std::process::exit(2);
     };
+    check_database("audit", name);
     let db = build_database(name);
     let profile = NaturalnessProfile::from_labels(
         db.identifier_levels().into_iter().map(|(_, l)| l),
@@ -342,7 +343,11 @@ fn ask(args: &[String]) {
         eprintln!("ask: usage `snails ask <DB> <question-id> [model]`");
         std::process::exit(2);
     };
-    let qid: usize = qid.parse().expect("question id must be a number");
+    check_database("ask", name);
+    let Ok(qid) = qid.parse::<usize>() else {
+        eprintln!("ask: question id must be a number, got {qid:?}");
+        std::process::exit(2);
+    };
     let model = match args.get(2).map(String::as_str) {
         None | Some("gpt-4o") => ModelKind::Gpt4o,
         Some("gemini") => ModelKind::Gemini15Pro,
@@ -380,6 +385,7 @@ fn sql(args: &[String]) {
         eprintln!("sql: usage `snails sql <DB> \"SELECT ...\"`");
         std::process::exit(2);
     };
+    check_database("sql", name);
     let db = build_database(name);
     let result = snails::sql::parse(query)
         .map_err(EngineError::from_parse)
@@ -391,6 +397,17 @@ fn sql(args: &[String]) {
             eprintln!("error: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// Exit with a usage error (2) listing the valid names unless `name` is one
+/// of the nine databases, matched case-insensitively as `build_database`
+/// matches it.
+fn check_database(cmd: &str, name: &str) {
+    let names = snails::data::DATABASE_NAMES;
+    if !names.iter().any(|n| n.eq_ignore_ascii_case(name)) {
+        eprintln!("{cmd}: unknown database {name:?} (one of {})", names.join(", "));
+        std::process::exit(2);
     }
 }
 
@@ -620,20 +637,18 @@ fn bench(args: &[String]) {
     let db = build_database("NTSB");
 
     // Plan-once-execute-many: the full NTSB gold workload executed `REPS`
-    // times — lex/parse/name-resolve on every execution (interpret) vs
+    // times — lex/parse/name-resolve and interpret on every execution vs
     // lowering each statement once and replaying its compiled plan from a
-    // warm cache. The warm-up pass below doubles as a result-identity
-    // check between the two paths.
-    // The row-at-a-time plan runner is the `plan_exec` baseline; the
-    // vectorized engine gets its own `vector_exec` stage below.
-    let opts = ExecOptions { vectorized: false, ..Default::default() };
+    // warm cache on the vectorized block loop. The warm-up pass below
+    // doubles as a result-identity check between the two paths.
+    let opts = ExecOptions::default();
     let plans = snails::engine::PlanCache::new();
     let mut gold_rows = 0usize;
-    let mut plans_identical = true;
+    let mut vec_identical = true;
     for p in &db.questions {
         let interpreted = run_sql(&db.db, &p.sql);
         let planned = plans.run(&db.db, &p.sql, opts);
-        plans_identical &= planned == interpreted;
+        vec_identical &= planned == interpreted;
         if let Ok(rs) = &planned {
             gold_rows += rs.row_count();
         }
@@ -649,54 +664,6 @@ fn bench(args: &[String]) {
         }
         interp_ms = interp_ms.min(ms(t));
     }
-    let run_plans = || {
-        for _ in 0..REPS {
-            for p in &db.questions {
-                let _ = plans.run(&db.db, &p.sql, opts);
-            }
-        }
-    };
-    // Telemetry overhead on the same workload: the identical compiled-plan
-    // loop with a metrics scope installed, so every per-operator observe
-    // and cache-hit counter fires. The two loops alternate and each takes
-    // its best of three passes, so scheduling drift cannot masquerade as
-    // overhead. The contract is ≤5% overhead; the measured ratio is
-    // recorded in the artifact either way.
-    let obs = Arc::new(telemetry::ObsCtx::new(telemetry::ClockMode::Sim));
-    let (mut plan_ms, mut telemetry_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        let t = Instant::now();
-        run_plans();
-        plan_ms = plan_ms.min(ms(t));
-        let t = Instant::now();
-        {
-            let _scope = telemetry::scope(&obs);
-            run_plans();
-        }
-        telemetry_ms = telemetry_ms.min(ms(t));
-    }
-    let telemetry_overhead_pct = (telemetry_ms / plan_ms - 1.0) * 100.0;
-    let rows_per_s = (gold_rows * REPS) as f64 / (plan_ms / 1e3);
-    let (cache_hits, cache_misses) = (plans.hits(), plans.misses());
-    emit(format!(
-        "{{\"bench\":\"plan_exec\",\"database\":\"NTSB\",\"queries\":{},\"reps\":{REPS},\
-         \"interpret_ms\":{interp_ms:.1},\"plan_ms\":{plan_ms:.1},\"speedup\":{:.2},\
-         \"rows_per_s\":{rows_per_s:.0},\"cache_hits\":{cache_hits},\
-         \"cache_misses\":{cache_misses},\"results_identical\":{plans_identical},\
-         \"telemetry_ms\":{telemetry_ms:.1},\
-         \"telemetry_overhead_pct\":{telemetry_overhead_pct:.1}}}",
-        db.questions.len(),
-        interp_ms / plan_ms
-    ));
-
-    // Batch-at-a-time columnar execution of the same gold workload: the
-    // same warm plan cache, executed through the vectorized engine. The
-    // warm-up pass is the result-identity check against the interpreter.
-    let vec_opts = ExecOptions::default();
-    let mut vec_identical = true;
-    for p in &db.questions {
-        vec_identical &= plans.run(&db.db, &p.sql, vec_opts) == run_sql(&db.db, &p.sql);
-    }
     let time_plans = |o: ExecOptions| {
         let t = Instant::now();
         for _ in 0..REPS {
@@ -706,11 +673,22 @@ fn bench(args: &[String]) {
         }
         ms(t)
     };
-    let mut vec_ms = f64::INFINITY;
+    // Telemetry overhead on the same workload: the identical compiled-plan
+    // loop with a metrics scope installed, so every per-operator observe
+    // and cache-hit counter fires. The two loops alternate and each takes
+    // its best of three passes, so scheduling drift cannot masquerade as
+    // overhead. The contract is ≤5% overhead; the measured ratio is
+    // recorded in the artifact either way.
+    let obs = Arc::new(telemetry::ObsCtx::new(telemetry::ClockMode::Sim));
+    let (mut vec_ms, mut telemetry_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        vec_ms = vec_ms.min(time_plans(vec_opts));
+        vec_ms = vec_ms.min(time_plans(opts));
+        let _scope = telemetry::scope(&obs);
+        telemetry_ms = telemetry_ms.min(time_plans(opts));
     }
+    let telemetry_overhead_pct = (telemetry_ms / vec_ms - 1.0) * 100.0;
     let vec_rows_per_s = (gold_rows * REPS) as f64 / (vec_ms / 1e3);
+    let (cache_hits, cache_misses) = (plans.hits(), plans.misses());
     // Steady-state allocation accounting (cache, pool stash, and page
     // tables are warm after the timing loops): one obs-scoped pass counts
     // the batches executed, one unscoped pass is measured by the counting
@@ -720,27 +698,29 @@ fn bench(args: &[String]) {
     {
         let _scope = telemetry::scope(&ctx);
         for p in &db.questions {
-            let _ = plans.run(&db.db, &p.sql, vec_opts);
+            let _ = plans.run(&db.db, &p.sql, opts);
         }
     }
     let vec_batches = ctx.report().counter("engine.vec.batches").max(1);
     let before = ALLOC.snapshot();
     for p in &db.questions {
-        let _ = plans.run(&db.db, &p.sql, vec_opts);
+        let _ = plans.run(&db.db, &p.sql, opts);
     }
     let d = ALLOC.snapshot().since(before);
     let vec_allocs_per_batch =
         d.allocs.saturating_sub(gold_rows as u64) as f64 / vec_batches as f64;
     emit(format!(
         "{{\"bench\":\"vector_exec\",\"database\":\"NTSB\",\"queries\":{},\"reps\":{REPS},\
-         \"vector_ms\":{vec_ms:.1},\"speedup_vs_interpreter\":{:.2},\
-         \"speedup_vs_row_plan\":{:.2},\"rows_per_s\":{vec_rows_per_s:.0},\
+         \"interpret_ms\":{interp_ms:.1},\"vector_ms\":{vec_ms:.1},\
+         \"speedup_vs_interpreter\":{:.2},\"rows_per_s\":{vec_rows_per_s:.0},\
+         \"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses},\
+         \"telemetry_ms\":{telemetry_ms:.1},\
+         \"telemetry_overhead_pct\":{telemetry_overhead_pct:.1},\
          \"batches\":{vec_batches},\"hot_allocs\":{},\
          \"allocs_per_batch\":{vec_allocs_per_batch:.2},\
          \"results_identical\":{vec_identical}}}",
         db.questions.len(),
         interp_ms / vec_ms,
-        plan_ms / vec_ms,
         d.allocs
     ));
     // Batch-size sweep over the same workload. The default is no longer a
@@ -755,7 +735,7 @@ fn bench(args: &[String]) {
             format!("\"ms_{b}\":{:.1}", time_plans(o))
         })
         .collect();
-    let adaptive_ms = time_plans(vec_opts);
+    let adaptive_ms = time_plans(opts);
     emit(format!(
         "{{\"bench\":\"vector_batch_sweep\",{},\"ms_adaptive\":{adaptive_ms:.1},\
          \"adaptive_pick_width2\":{},\"adaptive_pick_width8\":{},\
@@ -832,8 +812,8 @@ fn bench(args: &[String]) {
     // Synthetic equi join scaled past a million rows: 1.2M-row probe side
     // against a 100K-row build side, grouped back down to 100K keys. The
     // quadratic nested loop is infeasible here (1.2×10^11 comparisons), so
-    // the contest is the row-at-a-time hash join against the vectorized
-    // engine, with a result-identity check between the two.
+    // the stage times the compiled plan's hash join, with a result-identity
+    // check against the interpreter.
     const PROBE_ROWS: i64 = 1_200_000;
     const BUILD_ROWS: i64 = 100_000;
     let mut sdb = Database::new("bench");
@@ -847,25 +827,17 @@ fn bench(args: &[String]) {
     }
     let sql = "SELECT a.k, COUNT(*), MAX(b.w) FROM a JOIN b ON a.k = b.k \
                WHERE a.v >= 200000 GROUP BY a.k";
-    let row_opts = ExecOptions { vectorized: false, ..Default::default() };
-    let vec_join_opts = ExecOptions::default();
+    let join_opts = ExecOptions::default();
     let join_plans = snails::engine::PlanCache::new();
-    // Warm-up doubles as the three-way identity check: interpreter,
-    // row-at-a-time plan, vectorized plan.
-    let interp_rs = run_sql_with(&sdb, sql, vec_join_opts);
-    let join_identical = join_plans.run(&sdb, sql, row_opts) == interp_rs
-        && join_plans.run(&sdb, sql, vec_join_opts) == interp_rs;
-    let time_one = |opts: ExecOptions| {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            join_plans.run(&sdb, sql, opts).expect("synthetic join runs");
-            best = best.min(ms(t));
-        }
-        best
-    };
-    let row_ms = time_one(row_opts);
-    let vec_join_ms = time_one(vec_join_opts);
+    // Warm-up doubles as the identity check against the interpreter.
+    let interp_rs = run_sql_with(&sdb, sql, join_opts);
+    let join_identical = join_plans.run(&sdb, sql, join_opts) == interp_rs;
+    let mut vec_join_ms = f64::INFINITY;
+    for _ in 0..3 {
+        let t = Instant::now();
+        join_plans.run(&sdb, sql, join_opts).expect("synthetic join runs");
+        vec_join_ms = vec_join_ms.min(ms(t));
+    }
     let join_rows_per_s = PROBE_ROWS as f64 / (vec_join_ms / 1e3);
     // Steady-state allocation accounting, as in `vector_exec` above. One
     // statement spread over thousands of batches: per-statement setup
@@ -874,22 +846,21 @@ fn bench(args: &[String]) {
     let ctx = Arc::new(telemetry::ObsCtx::new(telemetry::ClockMode::Sim));
     {
         let _scope = telemetry::scope(&ctx);
-        join_plans.run(&sdb, sql, vec_join_opts).expect("synthetic join runs");
+        join_plans.run(&sdb, sql, join_opts).expect("synthetic join runs");
     }
     let join_batches = ctx.report().counter("engine.vec.batches").max(1);
     let join_out_rows = interp_rs.as_ref().map_or(0, snails::engine::ResultSet::row_count) as u64;
     let before = ALLOC.snapshot();
-    join_plans.run(&sdb, sql, vec_join_opts).expect("synthetic join runs");
+    join_plans.run(&sdb, sql, join_opts).expect("synthetic join runs");
     let d = ALLOC.snapshot().since(before);
     let join_allocs_per_batch =
         d.allocs.saturating_sub(join_out_rows) as f64 / join_batches as f64;
     emit(format!(
         "{{\"bench\":\"synthetic_join\",\"rows\":{PROBE_ROWS},\
-         \"row_plan_ms\":{row_ms:.1},\"vector_ms\":{vec_join_ms:.1},\"speedup\":{:.1},\
+         \"vector_ms\":{vec_join_ms:.1},\
          \"rows_per_s\":{join_rows_per_s:.0},\"batches\":{join_batches},\
          \"hot_allocs\":{},\"allocs_per_batch\":{join_allocs_per_batch:.2},\
          \"results_identical\":{join_identical}}}",
-        row_ms / vec_join_ms,
         d.allocs
     ));
 
@@ -971,7 +942,7 @@ fn bench(args: &[String]) {
         eprintln!("error: deterministic telemetry diverged across thread counts");
         std::process::exit(1);
     }
-    if !plans_identical || !vec_identical || !join_identical || !sub_identical {
+    if !vec_identical || !join_identical || !sub_identical {
         eprintln!("error: compiled-plan results diverged from the interpreter");
         std::process::exit(1);
     }
@@ -1008,7 +979,8 @@ struct ServeArgs {
     seed: u64,
     fault_profile: FaultProfile,
     telemetry: Option<String>,
-    clients: usize,
+    /// `--clients`; see [`ServeArgs::clients`] for the per-mode default.
+    clients: Option<usize>,
     requests: usize,
     out: Option<String>,
     shutdown: bool,
@@ -1027,7 +999,7 @@ impl ServeArgs {
             seed: 2024,
             fault_profile: FaultProfile::NONE,
             telemetry: None,
-            clients: 1024,
+            clients: None,
             requests: 8,
             out: None,
             shutdown: false,
@@ -1078,7 +1050,7 @@ impl ServeArgs {
                     None => missing("--telemetry"),
                 },
                 "--clients" => match it.next().and_then(|n| n.parse().ok()) {
-                    Some(n) if n > 0 => a.clients = n,
+                    Some(n) if n > 0 => a.clients = Some(n),
                     _ => missing("--clients"),
                 },
                 "--requests" => match it.next().and_then(|n| n.parse().ok()) {
@@ -1100,7 +1072,16 @@ impl ServeArgs {
             eprintln!("{cmd}: at least one tenant and one database required");
             std::process::exit(2);
         }
+        for name in &a.dbs {
+            check_database(cmd, name);
+        }
         a
+    }
+
+    /// Clients to drive: `--clients` when given, else 8 lockstep clients
+    /// over a socket or 1024 for the in-process suite.
+    fn clients(&self) -> usize {
+        self.clients.unwrap_or(if self.socket.is_some() { 8 } else { 1024 })
     }
 
     fn config(&self) -> snails::serve::ServeConfig {
@@ -1129,7 +1110,7 @@ impl ServeArgs {
 
     fn plan(&self, dbs: &[Arc<SnailsDatabase>]) -> snails::serve::LoadPlan {
         snails::serve::LoadPlan {
-            clients: self.clients,
+            clients: self.clients(),
             requests_per_client: self.requests,
             seed: self.seed,
             tenants: self
@@ -1210,10 +1191,7 @@ fn load_socket(a: &ServeArgs, socket: &str) {
 
     let path = std::path::Path::new(socket);
     let dbs = a.build_dbs();
-    let plan = snails::serve::LoadPlan {
-        clients: if a.clients == 1024 { 8 } else { a.clients },
-        ..a.plan(&dbs)
-    };
+    let plan = a.plan(&dbs);
     let out = match snails::serve::run_unix_lockstep(path, &plan) {
         Ok(o) => o,
         Err(e) => {
@@ -1469,5 +1447,24 @@ fn load_suite(a: &ServeArgs) {
             eprintln!("error: {f}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, args: &[&str]) -> ServeArgs {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        ServeArgs::parse(cmd, &args)
+    }
+
+    #[test]
+    fn client_count_defaults_per_mode_and_an_explicit_count_wins() {
+        let plan = parse("load", &["--socket", "s", "--clients", "1024"]).plan(&[]);
+        assert_eq!(plan.clients, 1024);
+        assert_eq!(parse("load", &["--socket", "s"]).plan(&[]).clients, 8);
+        assert_eq!(parse("load", &[]).plan(&[]).clients, 1024);
+        assert_eq!(parse("load", &["--clients", "8"]).plan(&[]).clients, 8);
     }
 }

@@ -1,0 +1,50 @@
+//! Bad database names and question ids are usage errors at the CLI
+//! boundary: the binary exits 2 with the valid names on stderr instead of
+//! panicking (exit 101) while building a database.
+
+use std::process::{Command, Output};
+
+fn snails(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_snails"))
+        .args(args)
+        .output()
+        .expect("spawn snails")
+}
+
+fn assert_usage_error(args: &[&str], lists_databases: bool) {
+    let out = snails(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    if lists_databases {
+        for name in snails::data::DATABASE_NAMES {
+            assert!(
+                stderr.contains(name),
+                "{args:?} does not list {name}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn unknown_databases_are_usage_errors() {
+    assert_usage_error(&["sql", "NOPE", "SELECT 1"], true);
+    assert_usage_error(&["audit", "NOPE"], true);
+    assert_usage_error(&["ask", "NOPE", "1"], true);
+    assert_usage_error(&["load", "--dbs", "NOPE"], true);
+    let socket = std::env::temp_dir().join(format!("snails-cli-usage-{}.sock", std::process::id()));
+    let socket_arg = socket.to_str().expect("utf-8 temp path");
+    assert_usage_error(
+        &["serve", "--socket", socket_arg, "--dbs", "CWO,NOPE"],
+        true,
+    );
+    assert!(
+        !socket.exists(),
+        "serve bound its socket before rejecting --dbs"
+    );
+}
+
+#[test]
+fn a_non_numeric_question_id_is_a_usage_error() {
+    assert_usage_error(&["ask", "CWO", "abc"], false);
+}
