@@ -1,12 +1,16 @@
-//! Criterion benchmark crate; see benches/.
+//! The `snails bench` suite ([`suite`]) and the allocation counter it
+//! reads.
 //!
-//! The library half hosts the bench-only [`CountingAlloc`]: a delegating
-//! global allocator that counts heap allocations so the `snails bench`
-//! binary can verify the vectorized engine's steady-state hot loops are
-//! allocation-free (the buffer pool actually recycles). It is *not* wired
-//! into any library crate — only binaries that opt in via
-//! `#[global_allocator]` and then call [`CountingAlloc::start_counting`]
+//! [`CountingAlloc`] is a delegating global allocator that counts heap
+//! allocations so the suite can verify the vectorized engine's
+//! steady-state hot loops are allocation-free (the buffer pool actually
+//! recycles). It is *not* wired into any library crate — only binaries
+//! that opt in via `#[global_allocator]` and hand it to [`suite::run`]
 //! pay the two relaxed atomic increments per allocation.
+
+pub mod suite;
+
+pub use suite::{grid_config, BenchOptions, SuiteOutcome};
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,9 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// region.
 ///
 /// Counting starts off. Once on, every thread writes both counters on
-/// every allocation, which contends across cores: the `snails` binary
-/// turns it on only for `snails bench`, so `snails serve` worker threads
-/// merely read the flag. The struct gets a cache line of its own so that
+/// every allocation, which contends across cores: only [`suite::run`]
+/// turns it on, so `snails serve` worker threads merely read the flag. The struct gets a cache line of its own so that
 /// flag read never shares a line with data other threads write.
 #[repr(align(64))]
 pub struct CountingAlloc {
@@ -110,73 +113,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Nearest-rank percentile summary of a latency (or any `u64`) sample set.
-///
-/// Nearest-rank is exact and deterministic — no interpolation, so two runs
-/// over identical samples produce identical summaries byte-for-byte, which
-/// is what the serve load harness asserts. An empty sample set summarizes
-/// to all zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Percentiles {
-    /// Sample count.
-    pub count: u64,
-    /// 50th percentile (nearest rank).
-    pub p50: u64,
-    /// 90th percentile (nearest rank).
-    pub p90: u64,
-    /// 99th percentile (nearest rank).
-    pub p99: u64,
-    /// Maximum sample.
-    pub max: u64,
-}
-
-impl Percentiles {
-    /// Summarize `samples` (sorted in place).
-    #[must_use]
-    pub fn of(samples: &mut [u64]) -> Percentiles {
-        if samples.is_empty() {
-            return Percentiles::default();
-        }
-        samples.sort_unstable();
-        let rank = |p: u64| {
-            // Nearest-rank: ceil(p/100 * n), 1-based, clamped into range.
-            let n = samples.len() as u64;
-            let r = (p * n).div_ceil(100).max(1) - 1;
-            samples[r as usize]
-        };
-        Percentiles {
-            count: samples.len() as u64,
-            p50: rank(50),
-            p90: rank(90),
-            p99: rank(99),
-            max: samples[samples.len() - 1],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     // Not registered as the global allocator here — exercise the trait
     // surface directly.
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut one_to_hundred: Vec<u64> = (1..=100).rev().collect();
-        let p = Percentiles::of(&mut one_to_hundred);
-        assert_eq!(p, Percentiles { count: 100, p50: 50, p90: 90, p99: 99, max: 100 });
-
-        let mut tiny = [7u64];
-        let p = Percentiles::of(&mut tiny);
-        assert_eq!(p, Percentiles { count: 1, p50: 7, p90: 7, p99: 7, max: 7 });
-
-        let mut pair = [10u64, 20];
-        let p = Percentiles::of(&mut pair);
-        assert_eq!((p.p50, p.p99, p.max), (10, 20, 20));
-
-        assert_eq!(Percentiles::of(&mut []), Percentiles::default());
-    }
-
     #[test]
     fn counts_events_and_bytes() {
         let a = CountingAlloc::new();

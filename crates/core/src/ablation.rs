@@ -213,6 +213,6 @@ mod tests {
         let report = ablation_report(&db, ModelKind::Gpt35, 5);
         assert!(report.contains("uniform-decode"));
         assert!(report.contains("no-distraction"));
-        assert_eq!(report.matches('\n').count() >= 8, true);
+        assert!(report.matches('\n').count() >= 8);
     }
 }

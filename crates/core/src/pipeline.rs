@@ -62,11 +62,6 @@ pub struct BenchmarkConfig {
     /// re-executed on the next run. `None` (the default) neither reads nor
     /// writes checkpoints.
     pub checkpoint: Option<CheckpointSpec>,
-    /// Bound on the shared plan cache (FIFO eviction). `None` (the
-    /// default) keeps the cache unbounded, as before. Excluded from the
-    /// grid fingerprint: cache contents only affect speed, never record
-    /// content or order, so checkpoints remain valid across capacities.
-    pub cache_capacity: Option<usize>,
     /// Ignored: no code reads it. It selected the cost-based planner,
     /// which has been removed; the field remains only so existing callers
     /// that still set it keep building. Not part of the grid fingerprint.
@@ -86,7 +81,6 @@ impl Default for BenchmarkConfig {
             telemetry: false,
             shard: Shard::FULL,
             checkpoint: None,
-            cache_capacity: None,
             optimize: true,
         }
     }
@@ -677,10 +671,8 @@ pub fn run_benchmark_on(
     // One plan cache for the whole grid: cache keys include the database
     // name, and plan execution is a pure function of (db, sql, opts), so
     // sharing it across workers cannot perturb record content or order.
-    let plans = match config.cache_capacity {
-        Some(c) => PlanCache::with_capacity(c),
-        None => PlanCache::new(),
-    };
+    // Unbounded: the grid's misses are all compulsory (DESIGN.md §5).
+    let plans = PlanCache::new();
 
     // Restore pass: load any verified checkpoint records for this shard's
     // cells before executing what remains. Corruption quarantines the file

@@ -73,7 +73,7 @@ pub struct ExecOptions {
     /// size per query block from the block's live column width via
     /// [`adaptive_batch_size`], so a batch's working set fits in L2
     /// regardless of how wide the combined row is; `Some(n)` forces `n`
-    /// (the A/B sweep and the equivalence tests use this).
+    /// (the batch-boundary equivalence tests use this).
     pub batch_size: Option<usize>,
     /// Ignored: no code reads it. It selected the cost-based planner,
     /// which has been removed; the field remains only so existing callers
@@ -1664,6 +1664,27 @@ mod tests {
     use crate::catalog::{Database, TableSchema};
     use crate::run_sql;
     use crate::value::DataType;
+
+    /// The adaptive policy's picks at representative widths (a two-column
+    /// probe, a typical gold join, a wide star join), and its shape over
+    /// every width: never larger for a wider row, always a power of two
+    /// inside the clamp.
+    #[test]
+    fn adaptive_batch_size_shrinks_with_width_inside_the_clamp() {
+        assert_eq!(
+            [2, 8, 32].map(adaptive_batch_size),
+            [2048, 512, 256],
+            "picks at widths 2/8/32"
+        );
+        let mut prev = adaptive_batch_size(0);
+        for width in 0..=512 {
+            let size = adaptive_batch_size(width);
+            assert!(size <= prev, "width {width}: {size} grew past {prev}");
+            assert!(size.is_power_of_two(), "width {width}: {size}");
+            assert!((MIN_BATCH_SIZE..=MAX_BATCH_SIZE).contains(&size), "width {width}: {size}");
+            prev = size;
+        }
+    }
 
     /// A small two-table database used throughout the executor tests.
     fn wildlife_db() -> Database {

@@ -7,6 +7,9 @@ use snails_engine::{
     run_sql_with, DataType, Database, ExecOptions, PlanCache, TableSchema, Value,
 };
 
+/// One `orders` row: `(id, cust, amount, note)`, `None` for NULL.
+type OrderRow = (i64, Option<&'static str>, Option<i64>, Option<&'static str>);
+
 /// `orders`: customer groups with controlled NULL patterns.
 ///
 /// | id | cust  | amount | note    |
@@ -27,7 +30,7 @@ fn fixture() -> Database {
             .column("amount", DataType::Int)
             .column("note", DataType::Varchar),
     );
-    let rows: [(i64, Option<&str>, Option<i64>, Option<&str>); 7] = [
+    let rows: [OrderRow; 7] = [
         (1, Some("a"), Some(10), Some("x")),
         (2, Some("a"), None, None),
         (3, Some("b"), None, None),

@@ -20,11 +20,11 @@ fn work(task: u64) {
     snails_obs::add(Metric::EngineExecStatements, 1);
     snails_obs::observe(Metric::EngineExecSteps, task * 7 % 113);
     let _outer = snails_obs::span("outer");
-    if task % 2 == 0 {
+    if task.is_multiple_of(2) {
         let _inner = snails_obs::span("inner");
         snails_obs::add(Metric::EnginePlanCacheHit, 1);
     }
-    if task % 3 == 0 {
+    if task.is_multiple_of(3) {
         let _sibling = snails_obs::span("sibling");
         snails_obs::observe(Metric::EngineOpScanRows, task);
     }

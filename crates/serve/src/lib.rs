@@ -19,7 +19,8 @@
 //! * [`load`] — a seeded load generator with a wall-clock concurrent driver
 //!   (thousands of closed-loop clients) and deterministic serial/lockstep
 //!   drivers whose response transcripts are byte-identical across runs,
-//!   thread counts, and transports.
+//!   thread counts, and transports, plus the gated suite `snails load`
+//!   runs on them.
 //!
 //! The determinism contract, tenancy model, and protocol grammar are
 //! documented in `DESIGN.md` §11.
@@ -31,8 +32,8 @@ pub mod tenant;
 pub mod transport;
 
 pub use load::{
-    classify, run_concurrent, run_serial, run_unix_lockstep, DbWorkload, LoadPlan, LoadReport,
-    Outcome, SerialOutcome, TenantWorkload,
+    classify, drive_unix, run_concurrent, run_serial, run_suite, run_unix_lockstep, DbWorkload,
+    LoadPlan, LoadReport, Outcome, Percentiles, SerialOutcome, SuiteOutcome, TenantWorkload,
 };
 pub use protocol::{
     FrameReader, Message, ProtocolError, Request, Response, ServeError, TenantStats, WireValue,

@@ -1,8 +1,9 @@
-//! The load harness: a seeded workload mix plus three drivers.
+//! The load harness: a seeded workload mix, three drivers, and the two
+//! suites `snails load` runs on them.
 //!
 //! * [`run_concurrent`] — a closed-loop driver simulating thousands of
-//!   concurrent clients over the in-process transport, measuring wall-clock
-//!   latency percentiles and sustained throughput;
+//!   concurrent clients over the in-process transport, measuring
+//!   completeness and sustained throughput;
 //! * [`run_serial`] — the deterministic soak driver: a tick-based simulated
 //!   clock, whole-tick burst arrivals in client order, one batch per tick.
 //!   Against a `--serial` server this is a closed system whose transcripts,
@@ -14,18 +15,22 @@
 //!   byte-identical to [`run_serial`] in lockstep mode: the cross-transport
 //!   gate.
 //!
+//! [`run_suite`] stages those drivers into the gated in-process suite
+//! behind `BENCH_serve.json`; [`drive_unix`] drives a running server over
+//! its socket.
+//!
 //! Every request is generated by pure seed arithmetic from
 //! `(plan.seed, client, seq)` — no RNG state threads through the drivers,
 //! so any subset of clients can be replayed independently.
 
 use crate::protocol::{encode_response, fnv1a, Request, Response, ServeError};
-use crate::server::{Admission, Server};
+use crate::server::{Admission, ServeConfig, Server};
+use crate::tenant::TenantSpec;
 use crate::transport::{InProcClient, Ticket, UnixClient};
-use snails_bench::Percentiles;
 use snails_data::SnailsDatabase;
 use snails_llm::generate::mix_seed;
-use snails_llm::ModelKind;
-use std::collections::BTreeMap;
+use snails_llm::{FaultProfile, ModelKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -363,13 +368,8 @@ pub struct LoadReport {
     pub dropped: u64,
     /// Wall time for the whole drive.
     pub wall: Duration,
-    /// Response latency percentiles, nanoseconds.
-    pub latency_ns: Percentiles,
     /// Answered requests per second over the drive.
     pub throughput_rps: f64,
-    /// FNV-1a over the per-client transcripts (reported, not asserted —
-    /// shed placement is timing-dependent in concurrent mode).
-    pub transcript_hash: u64,
 }
 
 /// Closed-loop concurrent drive: every simulated client keeps exactly one
@@ -381,15 +381,13 @@ pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usi
     struct ClientState {
         id: u32,
         next_seq: u32,
-        pending: Option<(Ticket, Instant)>,
+        pending: Option<Ticket>,
     }
+    #[derive(Default)]
     struct DriverResult {
         ok: u64,
         errors: u64,
         shed: u64,
-        answered: u64,
-        latencies: Vec<u64>,
-        transcript: Vec<(u32, Vec<u8>)>,
     }
 
     let drivers = driver_threads.clamp(1, plan.clients.max(1));
@@ -404,37 +402,25 @@ pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usi
                     .step_by(drivers)
                     .map(|id| ClientState { id: id as u32, next_seq: 0, pending: None })
                     .collect();
-                let mut out = DriverResult {
-                    ok: 0,
-                    errors: 0,
-                    shed: 0,
-                    answered: 0,
-                    latencies: Vec::new(),
-                    transcript: states.iter().map(|s| (s.id, Vec::new())).collect(),
-                };
+                let mut out = DriverResult::default();
                 let quota = plan.requests_per_client as u32;
                 loop {
                     let mut live = false;
                     let mut progressed = false;
-                    for (slot, st) in states.iter_mut().enumerate() {
+                    for st in &mut states {
                         if st.pending.is_none() && st.next_seq < quota {
                             let req = plan.request_for(st.id, st.next_seq);
                             st.next_seq += 1;
-                            st.pending = Some((client.call_async(req), Instant::now()));
+                            st.pending = Some(client.call_async(req));
                         }
-                        if let Some((ticket, at)) = &st.pending {
-                            if let Some(resp) = ticket.try_take() {
-                                out.latencies.push(at.elapsed().as_nanos() as u64);
-                                match classify(&resp) {
-                                    Outcome::Ok => out.ok += 1,
-                                    Outcome::Error => out.errors += 1,
-                                    Outcome::Shed => out.shed += 1,
-                                }
-                                out.answered += 1;
-                                out.transcript[slot].1.extend_from_slice(&encode_response(&resp));
-                                st.pending = None;
-                                progressed = true;
+                        if let Some(resp) = st.pending.as_ref().and_then(Ticket::try_take) {
+                            match classify(&resp) {
+                                Outcome::Ok => out.ok += 1,
+                                Outcome::Error => out.errors += 1,
+                                Outcome::Shed => out.shed += 1,
                             }
+                            st.pending = None;
+                            progressed = true;
                         }
                         live |= st.pending.is_some() || st.next_seq < quota;
                     }
@@ -452,24 +438,13 @@ pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usi
     });
     let wall = started.elapsed();
 
-    let mut latencies = Vec::new();
-    let (mut ok, mut errors, mut shed, mut answered) = (0u64, 0u64, 0u64, 0u64);
-    let mut per_client: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-    for mut r in results {
+    let (mut ok, mut errors, mut shed) = (0u64, 0u64, 0u64);
+    for r in results {
         ok += r.ok;
         errors += r.errors;
         shed += r.shed;
-        answered += r.answered;
-        latencies.append(&mut r.latencies);
-        for (id, frames) in r.transcript {
-            per_client.insert(id, frames);
-        }
     }
-    let mut transcript = Vec::new();
-    for (id, frames) in &per_client {
-        transcript.extend_from_slice(&id.to_le_bytes());
-        transcript.extend_from_slice(frames);
-    }
+    let answered = ok + errors + shed;
     let total = plan.total();
     LoadReport {
         total,
@@ -478,12 +453,348 @@ pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usi
         shed,
         dropped: total - answered,
         wall,
-        latency_ns: Percentiles::of(&mut latencies),
         throughput_rps: if wall.as_secs_f64() > 0.0 {
             answered as f64 / wall.as_secs_f64()
         } else {
             0.0
         },
-        transcript_hash: fnv1a(&transcript),
+    }
+}
+
+/// Nearest-rank percentile summary of a latency (or any `u64`) sample set.
+///
+/// Nearest-rank is exact and deterministic — no interpolation, so two runs
+/// over identical samples produce identical summaries byte-for-byte, which
+/// is what the serial replay stage asserts. An empty sample set summarizes
+/// to all zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Percentiles {
+    /// Sample count.
+    pub count: u64,
+    /// 50th percentile (nearest rank).
+    pub p50: u64,
+    /// 90th percentile (nearest rank).
+    pub p90: u64,
+    /// 99th percentile (nearest rank).
+    pub p99: u64,
+    /// Maximum sample.
+    pub max: u64,
+}
+
+impl Percentiles {
+    /// Summarize `samples` (sorted in place).
+    #[must_use]
+    pub fn of(samples: &mut [u64]) -> Percentiles {
+        if samples.is_empty() {
+            return Percentiles::default();
+        }
+        samples.sort_unstable();
+        let rank = |p: u64| {
+            // Nearest-rank: ceil(p/100 * n), 1-based, clamped into range.
+            let n = samples.len() as u64;
+            let r = (p * n).div_ceil(100).max(1) - 1;
+            samples[r as usize]
+        };
+        Percentiles {
+            count: samples.len() as u64,
+            p50: rank(50),
+            p90: rank(90),
+            p99: rank(99),
+            max: samples[samples.len() - 1],
+        }
+    }
+}
+
+/// Stage lines and failures of one [`run_suite`] or [`drive_unix`] run.
+#[derive(Debug, Default)]
+pub struct SuiteOutcome {
+    /// One JSON object per stage, in run order.
+    pub stages: Vec<String>,
+    /// Violated checks; empty when the run passed.
+    pub failures: Vec<String>,
+}
+
+impl SuiteOutcome {
+    fn stage(&mut self, progress: &mut dyn FnMut(&str), line: String) {
+        progress(&line);
+        self.stages.push(line);
+    }
+}
+
+/// The in-process load suite behind `BENCH_serve.json`: four staged drives
+/// against fresh servers started from `config` and `tenants`, each a
+/// variation of `plan`. Every stage line goes to `progress` as it
+/// completes; a violated gate lands in [`SuiteOutcome::failures`] and the
+/// remaining stages still run.
+pub fn run_suite(
+    config: &ServeConfig,
+    tenants: &[TenantSpec],
+    plan: &LoadPlan,
+    progress: &mut dyn FnMut(&str),
+) -> SuiteOutcome {
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let mut out = SuiteOutcome::default();
+
+    // Stage 1 — sustained concurrent load: `plan.clients` closed-loop
+    // clients each keeping one request in flight. The gate is
+    // completeness: every request resolves (answered or typed-shed).
+    {
+        let server = Server::start(config.clone(), tenants.to_vec());
+        let report = run_concurrent(&server, plan, 8);
+        server.shutdown();
+        out.stage(
+            progress,
+            format!(
+                "{{\"serve\":\"load\",\"clients\":{},\"requests\":{},\"ok\":{},\"errors\":{},\
+                 \"shed\":{},\"dropped\":{},\"wall_ms\":{:.1},\"throughput_rps\":{:.0}}}",
+                plan.clients,
+                report.total,
+                report.ok,
+                report.errors,
+                report.shed,
+                report.dropped,
+                ms(report.wall),
+                report.throughput_rps,
+            ),
+        );
+        if report.dropped > 0 {
+            out.failures.push(format!("load: {} requests never resolved", report.dropped));
+        }
+    }
+
+    // Stage 2 — deterministic replay: the same serial plan twice at each
+    // of 1/2/8 fan-out threads. Queue depth below the burst size forces
+    // shed placement into the transcript, so determinism covers the
+    // admission path too. Gate: one transcript hash, one deterministic
+    // telemetry rendering, across all six runs.
+    {
+        let replay = LoadPlan {
+            clients: 256,
+            requests_per_client: 4,
+            ..plan.clone()
+        };
+        let mut hashes = BTreeSet::new();
+        let mut det = BTreeSet::new();
+        let mut shed = 0u64;
+        let mut ticks = 0u64;
+        let mut lat = Percentiles::default();
+        for threads in [1usize, 2, 8] {
+            for _run in 0..2 {
+                let cfg = ServeConfig {
+                    serial: true,
+                    threads,
+                    queue_depth: 192,
+                    batch_max: 32,
+                    ..config.clone()
+                };
+                let server = Server::start(cfg, tenants.to_vec());
+                let mut run = run_serial(&server, &replay, false);
+                if run.dropped() > 0 {
+                    out.failures.push(format!(
+                        "serial_replay: {} requests never resolved",
+                        run.dropped()
+                    ));
+                }
+                det.insert(
+                    server.telemetry_report().expect("telemetry enabled").deterministic_json(),
+                );
+                server.shutdown();
+                hashes.insert(run.transcript_hash);
+                shed = run.shed;
+                ticks = run.ticks;
+                lat = Percentiles::of(&mut run.latencies_ticks);
+            }
+        }
+        let identical = hashes.len() == 1 && det.len() == 1;
+        out.stage(
+            progress,
+            format!(
+                "{{\"serve\":\"serial_replay\",\"clients\":256,\"threads\":[1,2,8],\"runs\":6,\
+                 \"shed\":{shed},\"ticks\":{ticks},\"latency_ticks_p50\":{},\
+                 \"latency_ticks_p99\":{},\"transcripts\":{},\"telemetries\":{},\
+                 \"identical\":{identical}}}",
+                lat.p50,
+                lat.p99,
+                hashes.len(),
+                det.len(),
+            ),
+        );
+        if !identical {
+            out.failures.push("serial_replay: transcripts or telemetry diverged".into());
+        }
+        if shed == 0 {
+            out.failures.push("serial_replay: burst never exercised the shed path".into());
+        }
+    }
+
+    // Stage 3 — fault soak: the flaky profile injects transient and
+    // corrupting faults into execution. The gate is the serving contract
+    // under faults: zero dropped requests and exact per-tenant
+    // reconciliation (requests == ok + errors).
+    {
+        let cfg = ServeConfig {
+            fault_profile: FaultProfile::FLAKY,
+            ..config.clone()
+        };
+        let server = Server::start(cfg, tenants.to_vec());
+        let soak = LoadPlan {
+            clients: 512,
+            requests_per_client: 8,
+            ..plan.clone()
+        };
+        let report = run_concurrent(&server, &soak, 8);
+        let stats = server.tenant_stats();
+        let reconciled = stats.iter().all(|s| s.requests == s.ok + s.errors);
+        let faults = server
+            .telemetry_report()
+            .expect("telemetry enabled")
+            .counter("serve.faults.injected");
+        server.shutdown();
+        out.stage(
+            progress,
+            format!(
+                "{{\"serve\":\"fault_soak\",\"profile\":\"flaky\",\"requests\":{},\"ok\":{},\
+                 \"errors\":{},\"shed\":{},\"dropped\":{},\"faults_injected\":{faults},\
+                 \"tenants_reconciled\":{reconciled}}}",
+                report.total, report.ok, report.errors, report.shed, report.dropped,
+            ),
+        );
+        if report.dropped > 0 {
+            out.failures
+                .push(format!("fault_soak: {} requests never resolved", report.dropped));
+        }
+        if !reconciled {
+            out.failures.push("fault_soak: tenant counters do not reconcile".into());
+        }
+    }
+
+    // Stage 4 — overload and drain. Serial burst: 64 single-shot clients
+    // against a depth-32 queue shed exactly 64 - 32 requests and the
+    // queue never exceeds its depth. Then a concurrent drain: submissions
+    // in flight when `drain` lands all resolve (Draining for refused),
+    // none hang.
+    {
+        let depth = 32usize;
+        let cfg = ServeConfig {
+            serial: true,
+            threads: 1,
+            queue_depth: depth,
+            batch_max: 16,
+            ..config.clone()
+        };
+        let server = Server::start(cfg, tenants.to_vec());
+        let burst = LoadPlan {
+            clients: 64,
+            requests_per_client: 1,
+            ..plan.clone()
+        };
+        let run = run_serial(&server, &burst, false);
+        let report = server.telemetry_report().expect("telemetry enabled");
+        let shed_counter = report.counter("serve.shed");
+        let high_water = server.high_water();
+        let responses = server.shutdown();
+        let shed_exact = run.shed == (64 - depth) as u64 && shed_counter == run.shed;
+        let bounded = high_water <= depth;
+        let complete = run.dropped() == 0 && responses == run.total - run.shed;
+
+        let drain_server = Server::start(config.clone(), tenants.to_vec());
+        let client = InProcClient::new(Arc::clone(&drain_server));
+        let tickets: Vec<_> = (0..100u32)
+            .map(|i| client.call_async(Request::Ping { tag: u64::from(i) }))
+            .collect();
+        drain_server.drain();
+        let refused = client.call_async(Request::Ping { tag: 999 });
+        let drained = tickets.iter().all(|t| t.try_take().is_some())
+            && matches!(
+                refused.try_take(),
+                Some(Response::Err { error: ServeError::Draining, .. })
+            );
+        drain_server.shutdown();
+
+        out.stage(
+            progress,
+            format!(
+                "{{\"serve\":\"overload\",\"burst\":64,\"queue_depth\":{depth},\"shed\":{},\
+                 \"shed_exact\":{shed_exact},\"high_water\":{high_water},\
+                 \"bounded\":{bounded},\"complete\":{complete},\"drain_complete\":{drained}}}",
+                run.shed,
+            ),
+        );
+        if !(shed_exact && bounded && complete && drained) {
+            out.failures.push("overload: admission or drain invariant violated".into());
+        }
+    }
+    out
+}
+
+/// Drive a running server at `path` with `plan`'s lockstep schedule (see
+/// [`run_unix_lockstep`]), then, when `shutdown` is set and nothing was
+/// dropped, shut it down over its own wire. One `load` line reports the
+/// drive and one `shutdown` line the server's Goodbye.
+pub fn drive_unix(
+    path: &Path,
+    plan: &LoadPlan,
+    shutdown: bool,
+    progress: &mut dyn FnMut(&str),
+) -> SuiteOutcome {
+    let mut out = SuiteOutcome::default();
+    let run = match run_unix_lockstep(path, plan) {
+        Ok(run) => run,
+        Err(e) => {
+            out.failures.push(format!("socket drive failed: {e}"));
+            return out;
+        }
+    };
+    out.stage(
+        progress,
+        format!(
+            "{{\"load\":\"unix\",\"clients\":{},\"total\":{},\"ok\":{},\"errors\":{},\
+             \"shed\":{},\"dropped\":{},\"transcript_hash\":\"{:016x}\"}}",
+            plan.clients,
+            run.total,
+            run.ok,
+            run.errors,
+            run.shed,
+            run.dropped(),
+            run.transcript_hash
+        ),
+    );
+    if run.dropped() > 0 {
+        out.failures
+            .push(format!("{} requests never received a response", run.dropped()));
+        return out;
+    }
+    if shutdown {
+        match UnixClient::connect(path).and_then(|mut c| c.call(&Request::Shutdown)) {
+            Ok(Response::Goodbye { responses }) => out.stage(
+                progress,
+                format!("{{\"load\":\"shutdown\",\"responses\":{responses}}}"),
+            ),
+            Ok(other) => out.failures.push(format!("unexpected shutdown reply: {other:?}")),
+            Err(e) => out.failures.push(format!("shutdown failed: {e}")),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let mut one_to_hundred: Vec<u64> = (1..=100).rev().collect();
+        let p = Percentiles::of(&mut one_to_hundred);
+        assert_eq!(p, Percentiles { count: 100, p50: 50, p90: 90, p99: 99, max: 100 });
+
+        let mut tiny = [7u64];
+        let p = Percentiles::of(&mut tiny);
+        assert_eq!(p, Percentiles { count: 1, p50: 7, p90: 7, p99: 7, max: 7 });
+
+        let mut pair = [10u64, 20];
+        let p = Percentiles::of(&mut pair);
+        assert_eq!((p.p50, p.p99, p.max), (10, 20, 20));
+
+        assert_eq!(Percentiles::of(&mut []), Percentiles::default());
     }
 }

@@ -37,6 +37,25 @@ struct Args {
     ckpt: Option<String>,
 }
 
+/// Every section `main` emits, by flag name (`--fig8` selects "fig8");
+/// `stats` is an alias of `tau-tables`. [`wants`] only asks about these.
+const SECTIONS: [&str; 26] = [
+    "table1", "fig2", "table2", "table3", "table4", "fig5", "fig3", "table5", "schemapile",
+    "fig26", "fig27", "fig28", "modifiers", "naming-patterns", "fig8", "fig9", "fig10", "fig11",
+    "fig12", "f1-precision", "fig30", "fig48-51", "tau-tables", "stats", "ablation", "fig13",
+];
+
+const USAGE: &str = "usage: experiments [--write] [--quick] [--seed N] [--threads N]
+                   [--fault-profile none|flaky|hostile] [--telemetry PATH]
+                   [--ckpt DIR] [--shard i/n] [--SECTION]";
+
+/// Report a bad command line with the usage and exit 2, before any run
+/// starts (so `--write` never replaces EXPERIMENTS.md with a bad report).
+fn usage_error(message: &str) -> ! {
+    eprintln!("experiments: {message}\n{USAGE}\nsections: {}", SECTIONS.join(" "));
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         write: false,
@@ -50,49 +69,53 @@ fn parse_args() -> Args {
         ckpt: None,
     };
     let mut argv = std::env::args().skip(1);
+    let value = |flag: &str, argv: &mut dyn Iterator<Item = String>| {
+        argv.next().unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+    };
     while let Some(a) = argv.next() {
         match a.as_str() {
             "--write" => args.write = true,
             "--quick" => args.quick = true,
             "--seed" => {
-                args.seed = argv
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed takes a u64");
+                let v = value("--seed", &mut argv);
+                args.seed = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--seed takes a u64, got {v:?}")));
             }
             "--threads" => {
-                args.threads = Some(
-                    argv.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--threads takes a positive integer"),
-                );
+                let v = value("--threads", &mut argv);
+                match v.parse() {
+                    Ok(n) if n > 0 => args.threads = Some(n),
+                    _ => usage_error(&format!("--threads takes a positive integer, got {v:?}")),
+                }
             }
             "--fault-profile" => {
-                args.fault_profile = argv
-                    .next()
-                    .and_then(|s| FaultProfile::by_name(&s))
-                    .expect("--fault-profile takes none|flaky|hostile");
+                let v = value("--fault-profile", &mut argv);
+                args.fault_profile = FaultProfile::by_name(&v).unwrap_or_else(|| {
+                    usage_error(&format!("--fault-profile takes none|flaky|hostile, got {v:?}"))
+                });
             }
-            "--telemetry" => {
-                args.telemetry = Some(argv.next().expect("--telemetry takes an output path"));
-            }
+            "--telemetry" => args.telemetry = Some(value("--telemetry", &mut argv)),
             "--shard" => {
-                args.shard = argv
-                    .next()
-                    .map(|s| Shard::parse(&s).expect("--shard takes i/n with 0 <= i < n"))
-                    .expect("--shard takes i/n with 0 <= i < n");
+                let v = value("--shard", &mut argv);
+                args.shard =
+                    Shard::parse(&v).unwrap_or_else(|e| usage_error(&format!("--shard: {e}")));
             }
-            "--ckpt" => {
-                args.ckpt = Some(argv.next().expect("--ckpt takes a checkpoint directory"));
-            }
-            flag if flag.starts_with("--") => args.only = Some(flag[2..].to_owned()),
-            other => panic!("unknown argument {other}"),
+            "--ckpt" => args.ckpt = Some(value("--ckpt", &mut argv)),
+            flag => match flag.strip_prefix("--") {
+                Some(section) if SECTIONS.contains(&section) => {
+                    args.only = Some(section.to_owned());
+                }
+                Some(_) => usage_error(&format!("unknown flag or section {flag}")),
+                None => usage_error(&format!("unexpected argument {flag:?}")),
+            },
         }
     }
     args
 }
 
 fn wants(args: &Args, section: &str) -> bool {
+    debug_assert!(SECTIONS.contains(&section), "{section} missing from SECTIONS");
     args.only.as_deref().is_none_or(|o| o == section)
 }
 

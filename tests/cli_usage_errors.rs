@@ -1,6 +1,8 @@
 //! Bad database names and question ids are usage errors at the CLI
 //! boundary: the binary exits 2 with the valid names on stderr instead of
-//! panicking (exit 101) while building a database.
+//! panicking (exit 101) while building a database. The `experiments`
+//! binary likewise exits 2 on a malformed command line, before it runs
+//! anything or writes EXPERIMENTS.md.
 
 use std::process::{Command, Output};
 
@@ -47,4 +49,35 @@ fn unknown_databases_are_usage_errors() {
 #[test]
 fn a_non_numeric_question_id_is_a_usage_error() {
     assert_usage_error(&["ask", "CWO", "abc"], false);
+}
+
+#[test]
+fn malformed_experiments_arguments_are_usage_errors() {
+    // A scratch working directory: a case that slipped through with
+    // `--write` would write EXPERIMENTS.md here, not into the repository.
+    let dir = std::env::temp_dir().join(format!("snails-cli-usage-exp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let cases: [&[&str]; 7] = [
+        &["--seed"],
+        &["--seed", "abc"],
+        &["--threads", "abc"],
+        &["--threads", "0"],
+        &["bogus"],
+        &["--fig99"],
+        &["--write", "--fig99"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn experiments");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+    assert!(!dir.join("EXPERIMENTS.md").exists(), "a rejected --write still wrote the report");
+    let _ = std::fs::remove_dir_all(&dir);
 }
