@@ -310,10 +310,9 @@ impl<'a> EvalContext<'a> {
 /// measures) is rebuilt on every call. On the `serve_ask` workload of
 /// `perfbench` (seed 1, 2-vCPU VM, one traced run) the server's whole
 /// `Ask`, gold step included (`serve.exec_ms.ask`), takes a median of
-/// 0.19 ms and a p99 of 2.3 ms; caching the gold context per tenant is
-/// ROADMAP item 5. Batch callers should prefer [`run_benchmark_on`], which
-/// builds the gold context once per question and layers in fault
-/// planning.
+/// 0.19 ms and a p99 of 2.3 ms; no tenant caches the gold context yet.
+/// Batch callers should prefer [`run_benchmark_on`], which builds the
+/// gold context once per question and layers in fault planning.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_cell_with(
     workflow: Workflow,

@@ -11,8 +11,8 @@
 //!   own bounded [`snails_engine::PlanCache`], and its own
 //!   [`snails_engine::ExecLimits`] budget — isolation by construction;
 //! * [`server`] — bounded-queue admission control with typed load shedding,
-//!   request batching, worker fan-out (or a deterministic `--serial` poll
-//!   loop on a simulated clock), graceful drain, and live telemetry through
+//!   request batching, worker fan-out (or a deterministic `--serial`
+//!   reactor on a simulated clock), graceful drain, and live telemetry through
 //!   `snails-obs`;
 //! * [`transport`] — in-process tickets and framed unix sockets over the
 //!   same server;

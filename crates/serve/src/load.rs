@@ -26,13 +26,13 @@
 use crate::protocol::{encode_response, fnv1a, Request, Response, ServeError};
 use crate::server::{Admission, ServeConfig, Server};
 use crate::tenant::TenantSpec;
-use crate::transport::{InProcClient, Ticket, UnixClient};
+use crate::transport::{InProcClient, UnixClient};
 use snails_data::SnailsDatabase;
 use snails_llm::generate::mix_seed;
 use snails_llm::{FaultProfile, ModelKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One database a tenant's simulated clients may address.
@@ -316,9 +316,9 @@ pub fn run_serial(server: &Server, plan: &LoadPlan, lockstep: bool) -> SerialOut
 
 /// Drive the same lockstep schedule over a unix socket: one connection per
 /// client, one outstanding request globally. The server may run serial
-/// (something must call [`Server::poll_batch`] — see the CLI's reactor
-/// loop) or concurrent; either way the responses are the same pure
-/// functions of the requests, so the transcript matches
+/// (something must run its batches, as the CLI's reactor does with
+/// [`Server::run_until_drained`]) or concurrent; either way the responses
+/// are the same pure functions of the requests, so the transcript matches
 /// [`run_serial`]`(.., lockstep = true)` byte for byte.
 pub fn run_unix_lockstep(path: &Path, plan: &LoadPlan) -> std::io::Result<SerialOutcome> {
     let mut conns = Vec::with_capacity(plan.clients);
@@ -376,13 +376,10 @@ pub struct LoadReport {
 /// request in flight until it has issued its quota, so `plan.clients`
 /// requests are concurrently outstanding at steady state. Clients are
 /// multiplexed onto `driver_threads` OS threads (they spend their lives
-/// waiting, not computing).
+/// waiting, not computing): each thread blocks on one channel that its
+/// clients' reply callbacks feed, and answers each reply with that
+/// client's next request.
 pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usize) -> LoadReport {
-    struct ClientState {
-        id: u32,
-        next_seq: u32,
-        pending: Option<Ticket>,
-    }
     #[derive(Default)]
     struct DriverResult {
         ok: u64,
@@ -391,45 +388,36 @@ pub fn run_concurrent(server: &Arc<Server>, plan: &LoadPlan, driver_threads: usi
     }
 
     let drivers = driver_threads.clamp(1, plan.clients.max(1));
+    let quota = plan.requests_per_client as u32;
     let started = Instant::now();
     let results: Vec<DriverResult> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(drivers);
         for d in 0..drivers {
-            let client = InProcClient::new(Arc::clone(server));
-            let plan = &*plan;
             handles.push(scope.spawn(move || {
-                let mut states: Vec<ClientState> = (d..plan.clients)
-                    .step_by(drivers)
-                    .map(|id| ClientState { id: id as u32, next_seq: 0, pending: None })
-                    .collect();
+                let ids: Vec<u32> =
+                    (d..plan.clients).step_by(drivers).map(|id| id as u32).collect();
+                let (tx, rx) = mpsc::channel::<(usize, u32, Response)>();
+                // Submit client `ids[slot]`'s `seq`-th request, if within
+                // quota; its reply comes back through the channel.
+                let submit = |slot: usize, seq: u32| {
+                    if seq < quota {
+                        let tx = tx.clone();
+                        let reply = move |resp: Response| {
+                            let _ = tx.send((slot, seq, resp));
+                        };
+                        server.submit(plan.request_for(ids[slot], seq), Box::new(reply));
+                    }
+                };
+                (0..ids.len()).for_each(|slot| submit(slot, 0));
                 let mut out = DriverResult::default();
-                let quota = plan.requests_per_client as u32;
-                loop {
-                    let mut live = false;
-                    let mut progressed = false;
-                    for st in &mut states {
-                        if st.pending.is_none() && st.next_seq < quota {
-                            let req = plan.request_for(st.id, st.next_seq);
-                            st.next_seq += 1;
-                            st.pending = Some(client.call_async(req));
-                        }
-                        if let Some(resp) = st.pending.as_ref().and_then(Ticket::try_take) {
-                            match classify(&resp) {
-                                Outcome::Ok => out.ok += 1,
-                                Outcome::Error => out.errors += 1,
-                                Outcome::Shed => out.shed += 1,
-                            }
-                            st.pending = None;
-                            progressed = true;
-                        }
-                        live |= st.pending.is_some() || st.next_seq < quota;
+                for _ in 0..ids.len() * quota as usize {
+                    let (slot, seq, resp) = rx.recv().expect("this thread holds a sender");
+                    match classify(&resp) {
+                        Outcome::Ok => out.ok += 1,
+                        Outcome::Error => out.errors += 1,
+                        Outcome::Shed => out.shed += 1,
                     }
-                    if !live {
-                        break;
-                    }
-                    if !progressed {
-                        std::thread::sleep(Duration::from_micros(50));
-                    }
+                    submit(slot, seq + 1);
                 }
                 out
             }));

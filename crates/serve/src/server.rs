@@ -1,11 +1,12 @@
 //! The server core: admission control, batching, dispatch, and drain.
 //!
 //! One bounded queue fronts a pool of worker shards (or, in `--serial`
-//! mode, a caller-driven poll loop). Admission is all-or-nothing: a request
-//! either enters the queue or is answered immediately with a typed
-//! [`ServeError::Overloaded`] / [`ServeError::Draining`] — the queue never
-//! grows past its configured depth, which is the bounded-memory invariant
-//! the overload test asserts.
+//! mode, a caller-driven loop: [`Server::poll_batch`] steps, or the
+//! blocking [`Server::run_until_drained`] reactor). Admission is
+//! all-or-nothing: a request either enters the queue or is answered
+//! immediately with a typed [`ServeError::Overloaded`] /
+//! [`ServeError::Draining`] — the queue never grows past its configured
+//! depth, which is the bounded-memory invariant the overload test asserts.
 //!
 //! # Determinism contract
 //!
@@ -46,7 +47,8 @@ pub struct ServeConfig {
     /// mode). `0` means available parallelism.
     pub threads: usize,
     /// Deterministic mode: no worker threads; the owner drives execution
-    /// via [`Server::poll_batch`] / [`Server::drain`].
+    /// via [`Server::poll_batch`], [`Server::run_until_drained`] or
+    /// [`Server::drain`].
     pub serial: bool,
     /// Fault injection for request execution ([`FaultProfile::NONE`]
     /// disables the fault path entirely).
@@ -289,24 +291,36 @@ impl Server {
         n
     }
 
-    fn worker_loop(self: Arc<Server>) {
-        let _scope = self.obs.as_ref().map(snails_obs::scope);
+    /// Block until a batch is queued and pop it, or return `None` once a
+    /// drain has left the queue empty.
+    fn next_batch(&self) -> Option<(Vec<Request>, Vec<Reply>)> {
+        let mut st = self.state.lock().unwrap();
         loop {
-            let (requests, replies) = {
-                let mut st = self.state.lock().unwrap();
-                loop {
-                    if !st.queue.is_empty() {
-                        break;
-                    }
-                    if !st.accepting {
-                        return;
-                    }
-                    st = self.work_cv.wait(st).unwrap();
-                }
-                self.pop_batch_locked(&mut st)
-            };
+            if !st.queue.is_empty() {
+                return Some(self.pop_batch_locked(&mut st));
+            }
+            if !st.accepting {
+                return None;
+            }
+            st = self.work_cv.wait(st).unwrap();
+        }
+    }
+
+    /// Run batches on the calling thread as they are queued, sleeping on
+    /// the queue's condvar in between, and return once a drain leaves the
+    /// queue empty. Every worker shard runs this loop; in serial mode it
+    /// is the reactor `snails serve --serial` runs on its main thread.
+    /// It installs no obs scope, so serial telemetry matches
+    /// [`Server::poll_batch`]'s.
+    pub fn run_until_drained(&self) {
+        while let Some((requests, replies)) = self.next_batch() {
             self.run_batch(requests, replies);
         }
+    }
+
+    fn worker_loop(self: Arc<Server>) {
+        let _scope = self.obs.as_ref().map(snails_obs::scope);
+        self.run_until_drained();
     }
 
     /// Execute one request inside an observability task labelled by its
@@ -442,7 +456,9 @@ impl Server {
 
     /// Stop admitting, finish everything queued and in flight, and return
     /// once the server is idle. New submissions during and after the drain
-    /// answer [`ServeError::Draining`].
+    /// answer [`ServeError::Draining`]. In serial mode the calling thread
+    /// runs what is still queued; either way it then waits out batches
+    /// other threads (workers, or a serial reactor) have in flight.
     pub fn drain(&self) {
         {
             let mut st = self.state.lock().unwrap();
@@ -451,11 +467,10 @@ impl Server {
         self.work_cv.notify_all();
         if self.cfg.serial {
             while self.poll_batch() > 0 {}
-        } else {
-            let mut st = self.state.lock().unwrap();
-            while !(st.queue.is_empty() && st.in_flight == 0) {
-                st = self.idle_cv.wait(st).unwrap();
-            }
+        }
+        let mut st = self.state.lock().unwrap();
+        while !(st.queue.is_empty() && st.in_flight == 0) {
+            st = self.idle_cv.wait(st).unwrap();
         }
     }
 

@@ -10,6 +10,12 @@
 //! frame makes the transport drain the server, answer
 //! [`Response::Goodbye`], and close — so tests and scripts can stop a
 //! server deterministically over its own wire.
+//!
+//! Every socket wait blocks until its event arrives: the listener blocks
+//! in `accept`, connections block in `read`, and writes block in
+//! `write_all`. Stopping wakes the listener with one connect to its own
+//! path, and an idle connection's read times out every [`POLL_INTERVAL`]
+//! only to re-check the stop flag.
 
 use crate::protocol::{
     encode_response, FrameReader, Message, Request, Response, ServeError,
@@ -86,9 +92,10 @@ impl InProcClient {
         ticket
     }
 
-    /// Submit and block for the response. In serial mode this would
-    /// deadlock on a queued request (nothing polls) — use
-    /// [`InProcClient::call_async`] plus [`Server::poll_batch`] there.
+    /// Submit and block for the response. In serial mode this deadlocks
+    /// on a queued request unless another thread runs the server's
+    /// batches — use [`InProcClient::call_async`] plus
+    /// [`Server::poll_batch`] there.
     pub fn call(&self, request: Request) -> Response {
         self.call_async(request).wait()
     }
@@ -98,8 +105,32 @@ impl InProcClient {
 // Unix-socket transport
 // ---------------------------------------------------------------------------
 
-/// How often blocked socket loops wake to re-check stop/drain conditions.
+/// How long a connection's blocking read waits before it re-checks the
+/// stop flag. Arriving bytes end the read at once, so this bounds only how
+/// long an idle connection outlives a stop, not how long a request waits.
 const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
+/// The stop flag a listener shares with its connections, plus the socket
+/// path that wakes the listener out of its blocking `accept`.
+struct Stop {
+    flag: AtomicBool,
+    path: PathBuf,
+}
+
+impl Stop {
+    fn is_set(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Set the flag, then wake the listener with one connect to its own
+    /// path: `accept` returns that connection, sees the flag, and stops.
+    /// Only the call that sets the flag connects. Returns false when that
+    /// connect failed (the socket file is gone), so nothing can wake the
+    /// listener.
+    fn halt(&self) -> bool {
+        self.flag.swap(true, Ordering::SeqCst) || UnixStream::connect(&self.path).is_ok()
+    }
+}
 
 /// A unix-socket front end over a [`Server`].
 ///
@@ -111,54 +142,57 @@ const POLL_INTERVAL: Duration = Duration::from_millis(2);
 /// [`Request::Shutdown`] drains the server, answers
 /// [`Response::Goodbye`], and stops the listener.
 pub struct UnixServer {
-    path: PathBuf,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl UnixServer {
     /// Bind `path` (removing any stale socket file) and start accepting.
+    /// The socket file must stay in place while the server runs: stopping
+    /// connects to it.
     pub fn bind(path: &Path, server: Arc<Server>) -> std::io::Result<UnixServer> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop { flag: AtomicBool::new(false), path: path.to_owned() });
         let accept_stop = Arc::clone(&stop);
         let accept_handle = std::thread::spawn(move || {
             let mut conn_handles = Vec::new();
-            while !accept_stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let server = Arc::clone(&server);
-                        let stop = Arc::clone(&accept_stop);
-                        conn_handles.push(std::thread::spawn(move || {
-                            connection_loop(stream, &server, &stop);
-                        }));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(POLL_INTERVAL);
-                    }
-                    Err(_) => break,
+            for stream in listener.incoming() {
+                // After a stop, what `accept` returned is the wake connect
+                // (or a client that raced it): drop it and stop.
+                if accept_stop.is_set() {
+                    break;
                 }
+                let Ok(stream) = stream else { break };
+                let server = Arc::clone(&server);
+                let stop = Arc::clone(&accept_stop);
+                conn_handles.push(std::thread::spawn(move || {
+                    connection_loop(stream, &server, &stop);
+                }));
             }
+            drop(listener);
             for h in conn_handles {
                 let _ = h.join();
             }
         });
-        Ok(UnixServer { path: path.to_owned(), stop, accept_handle: Some(accept_handle) })
+        Ok(UnixServer { stop, accept_handle: Some(accept_handle) })
     }
 
     /// True once a shutdown frame (or [`UnixServer::stop`]) has landed.
     pub fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+        self.stop.is_set()
     }
 
-    /// Ask the listener to stop, then join it (connections see the flag at
-    /// their next poll tick).
+    /// Stop the listener and join it. The listener wakes at once;
+    /// connections see the stop within [`POLL_INTERVAL`] and close. If the
+    /// socket file was removed under a running listener, nothing can wake
+    /// it, so it is left blocked instead of joined.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let woke = self.stop.halt();
         if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
+            if woke {
+                let _ = h.join();
+            }
         }
     }
 
@@ -173,13 +207,13 @@ impl UnixServer {
 impl Drop for UnixServer {
     fn drop(&mut self) {
         self.stop();
-        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(&self.stop.path);
     }
 }
 
 /// One connection: read frames, dispatch, write response frames.
-fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Arc<AtomicBool>) {
-    if stream.set_nonblocking(true).is_err() {
+fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Stop) {
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     let mut reader = FrameReader::new();
@@ -189,17 +223,17 @@ fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Arc<AtomicBo
     let writer = Arc::new(Mutex::new(stream.try_clone().ok()));
     let mut stream = stream;
     loop {
-        if stop.load(Ordering::Relaxed) {
+        if stop.is_set() {
             return;
         }
         match stream.read(&mut buf) {
             Ok(0) => return, // peer hung up
             Ok(n) => reader.extend(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-                continue;
+            // The read timed out (WouldBlock) or a signal cut it short:
+            // loop round to re-check the stop flag.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                continue
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
         loop {
@@ -211,7 +245,7 @@ fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Arc<AtomicBo
                     // always finds the listener stopped.
                     server.drain();
                     let resp = Response::Goodbye { responses: server.responses_delivered() };
-                    stop.store(true, Ordering::Relaxed);
+                    stop.halt();
                     write_frame(&writer, &resp);
                     return;
                 }
@@ -245,28 +279,16 @@ fn connection_loop(stream: UnixStream, server: &Arc<Server>, stop: &Arc<AtomicBo
     }
 }
 
-fn write_frame(writer: &Arc<Mutex<Option<UnixStream>>>, resp: &Response) {
+/// Write one response frame with a blocking `write_all`; a frame larger
+/// than the socket buffer blocks until the peer reads. A failed write
+/// means the peer is gone: the stream is dropped so later replies on the
+/// connection are no-ops.
+fn write_frame(writer: &Mutex<Option<UnixStream>>, resp: &Response) {
     let bytes = encode_response(resp);
     let mut guard = writer.lock().unwrap();
     if let Some(stream) = guard.as_mut() {
-        // Blocking write despite the nonblocking socket: retry WouldBlock
-        // (response frames are small; the buffer drains fast).
-        let mut written = 0;
-        while written < bytes.len() {
-            match stream.write(&bytes[written..]) {
-                Ok(n) => written += n,
-                Err(e)
-                    if e.kind() == ErrorKind::WouldBlock
-                        || e.kind() == ErrorKind::Interrupted =>
-                {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(_) => {
-                    // Peer gone: drop the stream so later replies no-op.
-                    *guard = None;
-                    return;
-                }
-            }
+        if stream.write_all(&bytes).is_err() {
+            *guard = None;
         }
     }
 }
@@ -315,10 +337,7 @@ impl UnixClient {
             }
             match self.stream.read(&mut self.buf) {
                 Ok(0) => return Ok(None),
-                Ok(n) => {
-                    let chunk = self.buf[..n].to_vec();
-                    self.reader.extend(&chunk);
-                }
+                Ok(n) => self.reader.extend(&self.buf[..n]),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }

@@ -4,12 +4,16 @@
 
 use snails_engine::{Database, DataType, ExecLimits, TableSchema, Value};
 use snails_serve::load::{run_serial, run_unix_lockstep, DbWorkload, LoadPlan, TenantWorkload};
+use snails_serve::protocol::{encode_response, MAX_FRAME, MAX_RESPONSE_ROWS};
 use snails_serve::server::{ServeConfig, Server};
 use snails_serve::transport::{InProcClient, UnixClient, UnixServer};
 use snails_serve::{
     Request, Response, ServeError, Tenant, TenantSource, TenantSpec, TENANT_PLAN_CAPACITY,
 };
+use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Fixtures
@@ -106,6 +110,28 @@ fn serial_cfg(threads: usize, queue_depth: usize, batch_max: usize) -> ServeConf
         telemetry: true,
         ..ServeConfig::default()
     }
+}
+
+/// Longest a blocking step may take before the test calls its wake lost.
+const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Run `step` on a helper thread and return its result, failing the test
+/// if it has not finished within [`WAKE_DEADLINE`]: a lost wake fails the
+/// test instead of hanging the suite.
+fn within<T: Send + 'static>(what: &str, step: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(step());
+    });
+    match rx.recv_timeout(WAKE_DEADLINE) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: still blocked after {WAKE_DEADLINE:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: the step panicked"),
+    }
+}
+
+fn socket_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("snails-serve-{tag}-{}.sock", std::process::id()))
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +315,7 @@ fn lockstep_transcripts_are_identical_across_transports() {
     );
     let listener = UnixServer::bind(&path, Arc::clone(&unix_server)).expect("bind socket");
     let unix = run_unix_lockstep(&path, &plan).expect("socket drive");
-    drop(listener);
+    within("stop the listener", move || drop(listener));
     unix_server.shutdown();
 
     assert_eq!(inproc.dropped(), 0);
@@ -303,15 +329,22 @@ fn shutdown_frame_drains_and_reports_over_the_wire() {
     let path = std::env::temp_dir().join(format!("snails-serve-bye-{}.sock", std::process::id()));
     let server = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, raw_specs());
     let mut listener = UnixServer::bind(&path, Arc::clone(&server)).expect("bind socket");
+    // A second connection, once served, sits idle through the shutdown.
+    let mut idle = UnixClient::connect(&path).expect("connect");
+    let pong = idle.call(&Request::Ping { tag: 99 }).expect("ping");
+    assert_eq!(pong, Response::Pong { tag: 99 });
     let mut client = UnixClient::connect(&path).expect("connect");
     for tag in 0..5u64 {
         let resp = client.call(&Request::Ping { tag }).expect("ping");
         assert_eq!(resp, Response::Pong { tag });
     }
-    let bye = client.call(&Request::Shutdown).expect("shutdown");
-    assert_eq!(bye, Response::Goodbye { responses: 5 });
+    let bye = within("shutdown frame", move || client.call(&Request::Shutdown).expect("goodbye"));
+    assert_eq!(bye, Response::Goodbye { responses: 6 });
     assert!(listener.stopped(), "shutdown frame stops the listener");
-    listener.wait();
+    within("wait after the shutdown frame", move || listener.wait());
+    // The idle connection closed with the listener: end of stream.
+    let end = within("idle read after shutdown", move || idle.recv().expect("clean close"));
+    assert_eq!(end, None);
     server.shutdown();
 }
 
@@ -319,7 +352,7 @@ fn shutdown_frame_drains_and_reports_over_the_wire() {
 fn malformed_frames_get_a_typed_protocol_error_then_a_clean_close() {
     let path = std::env::temp_dir().join(format!("snails-serve-bad-{}.sock", std::process::id()));
     let server = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, raw_specs());
-    let _listener = UnixServer::bind(&path, Arc::clone(&server)).expect("bind socket");
+    let listener = UnixServer::bind(&path, Arc::clone(&server)).expect("bind socket");
 
     // Garbage framing: typed Protocol error frame, then EOF — never a hang.
     let mut client = UnixClient::connect(&path).expect("connect");
@@ -342,6 +375,88 @@ fn malformed_frames_get_a_typed_protocol_error_then_a_clean_close() {
     // The server is still healthy for well-behaved clients.
     let mut client = UnixClient::connect(&path).expect("connect");
     assert_eq!(client.call(&Request::Ping { tag: 1 }).expect("ping"), Response::Pong { tag: 1 });
+    within("stop the listener", move || drop(listener));
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Blocking transport — every blocked wait wakes
+// ---------------------------------------------------------------------------
+
+#[test]
+fn stop_returns_with_no_connection_and_with_an_idle_one_open() {
+    let server = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, raw_specs());
+
+    // No client ever connected: the listener sits in `accept`.
+    let mut listener =
+        UnixServer::bind(&socket_path("stop-none"), Arc::clone(&server)).expect("bind socket");
+    let listener = within("stop with no connection", move || {
+        listener.stop();
+        listener
+    });
+    assert!(listener.stopped());
+    drop(listener);
+
+    // A client holds an idle open connection: its reader sits in `read`.
+    let path = socket_path("stop-idle");
+    let mut listener = UnixServer::bind(&path, Arc::clone(&server)).expect("bind socket");
+    let mut client = UnixClient::connect(&path).expect("connect");
+    assert_eq!(client.call(&Request::Ping { tag: 1 }).expect("ping"), Response::Pong { tag: 1 });
+    within("stop with an idle connection", move || listener.stop());
+    // Stopping closed the connection: the client reads end of stream.
+    let end = within("read after stop", move || client.recv().expect("clean close"));
+    assert_eq!(end, None);
+    server.shutdown();
+}
+
+#[test]
+fn a_rows_frame_larger_than_the_socket_buffer_arrives_intact_when_read_late() {
+    // 256 rows of 2,000-byte strings: a frame of about 520 KB, well past a
+    // unix socket's send buffer and under MAX_FRAME, so the server's
+    // blocking write waits for the client, which starts reading late.
+    let mut db = Database::new("sales");
+    db.create_table(
+        TableSchema::new("blobs")
+            .column("id", DataType::Int)
+            .column("body", DataType::Varchar),
+    );
+    for id in 0..MAX_RESPONSE_ROWS as i64 {
+        let body = format!("{id:04}-").repeat(400);
+        db.insert("blobs", vec![Value::Int(id), Value::Str(body.into())]).expect("insert");
+    }
+    let spec = TenantSpec {
+        name: "acme".into(),
+        databases: vec![TenantSource::Raw { name: "sales".into(), db: Arc::new(db) }],
+        limits: ExecLimits::guarded(),
+    };
+    let server = Server::start(ServeConfig { threads: 1, ..ServeConfig::default() }, vec![spec]);
+    let path = socket_path("large-frame");
+    let listener = UnixServer::bind(&path, Arc::clone(&server)).expect("bind socket");
+    let request = Request::Sql {
+        tag: 9,
+        tenant: "acme".into(),
+        database: "sales".into(),
+        sql: "SELECT id, body FROM blobs ORDER BY id".into(),
+    };
+    let mut client = UnixClient::connect(&path).expect("connect");
+    client.send(&request).expect("send");
+    std::thread::sleep(Duration::from_millis(200));
+    let got = within("late read of a large frame", move || {
+        client.recv().expect("read").expect("a response before close")
+    });
+
+    // Responses are pure functions of the request: the in-process answer
+    // is the byte-exact reference.
+    let expected = encode_response(&server.execute(&request));
+    assert!(
+        expected.len() > 2_000 * MAX_RESPONSE_ROWS && expected.len() <= MAX_FRAME,
+        "the frame must outgrow the socket buffer and still fit a frame: {} bytes",
+        expected.len()
+    );
+    let Response::Rows { rows, .. } = &got else { panic!("expected rows, got {got:?}") };
+    assert_eq!(rows.len(), MAX_RESPONSE_ROWS);
+    assert!(encode_response(&got) == expected, "the large frame arrived altered");
+    within("stop the listener", move || drop(listener));
     server.shutdown();
 }
 

@@ -10,6 +10,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> no sleep-polls on the serve paths"
+# Every serve wait blocks until its event arrives (DESIGN.md §11): a socket
+# read with a stop-check timeout, a self-connect that wakes the listener,
+# and condvars or channels everywhere else. A thread::sleep in these files
+# puts a sleep-poll back on a request's path.
+if grep -n 'thread::sleep' crates/serve/src/*.rs src/bin/snails.rs; then
+    echo "error: thread::sleep on a serve path; block on the event instead" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release (workspace, offline)"
 cargo build --release --workspace --offline
 

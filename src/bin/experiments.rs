@@ -111,6 +111,11 @@ fn parse_args() -> Args {
             },
         }
     }
+    // EXPERIMENTS.md is the full report: `--write` must not replace it
+    // with one section, the --quick subset, or one shard's records.
+    if args.write && (args.only.is_some() || args.quick || args.shard != Shard::FULL) {
+        usage_error("--write writes the full report: drop the section flag, --quick and --shard");
+    }
     args
 }
 

@@ -626,9 +626,11 @@ impl ServeArgs {
 
 /// `snails serve`: bind a unix socket and serve until a shutdown frame.
 ///
-/// In `--serial` mode the main thread is the reactor: it drives
-/// [`snails::serve::Server::poll_batch`] in a loop, so the whole server is
-/// a deterministic state machine and the socket is just its inbox.
+/// In `--serial` mode the main thread is the reactor: it blocks in
+/// [`snails::serve::Server::run_until_drained`], running each batch as it
+/// is queued until the shutdown frame's drain empties the queue, so the
+/// whole server is a deterministic state machine and the socket is just
+/// its inbox.
 fn serve(args: &[String]) {
     use snails::serve::{Server, UnixServer};
 
@@ -655,15 +657,9 @@ fn serve(args: &[String]) {
         a.serial
     );
     if a.serial {
-        while !unix.stopped() {
-            if server.poll_batch() == 0 {
-                std::thread::sleep(std::time::Duration::from_micros(500));
-            }
-        }
-        unix.wait();
-    } else {
-        unix.wait();
+        server.run_until_drained();
     }
+    unix.wait();
     let responses = server.shutdown();
     if let Some(path) = &a.telemetry {
         if let Some(report) = server.telemetry_report() {

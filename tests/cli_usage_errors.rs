@@ -1,8 +1,9 @@
 //! Bad database names and question ids are usage errors at the CLI
 //! boundary: the binary exits 2 with the valid names on stderr instead of
 //! panicking (exit 101) while building a database. The `experiments`
-//! binary likewise exits 2 on a malformed command line, before it runs
-//! anything or writes EXPERIMENTS.md.
+//! binary likewise exits 2 on a malformed command line, and on `--write`
+//! with a partial report (one section, `--quick`, or one shard), before it
+//! runs anything or writes EXPERIMENTS.md.
 
 use std::process::{Command, Output};
 
@@ -57,7 +58,7 @@ fn malformed_experiments_arguments_are_usage_errors() {
     // `--write` would write EXPERIMENTS.md here, not into the repository.
     let dir = std::env::temp_dir().join(format!("snails-cli-usage-exp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    let cases: [&[&str]; 7] = [
+    let cases: [&[&str]; 10] = [
         &["--seed"],
         &["--seed", "abc"],
         &["--threads", "abc"],
@@ -65,6 +66,10 @@ fn malformed_experiments_arguments_are_usage_errors() {
         &["bogus"],
         &["--fig99"],
         &["--write", "--fig99"],
+        // `--write` replaces EXPERIMENTS.md, so it takes only the full report.
+        &["--write", "--table1"],
+        &["--quick", "--write"],
+        &["--write", "--shard", "1/4"],
     ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
