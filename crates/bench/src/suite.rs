@@ -14,7 +14,7 @@ use snails_engine::{
     run_sql, run_sql_with, DataType, Database, ExecLimits, ExecOptions, PlanCache, ResultSet,
     TableSchema, Value,
 };
-use snails_llm::{FaultProfile, ModelKind, Workflow};
+use snails_llm::{ModelKind, Workflow};
 use snails_naturalness::category::SchemaVariant;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -43,8 +43,6 @@ pub fn grid_config() -> BenchmarkConfig {
 pub struct BenchOptions {
     /// Workers for the parallel grid legs.
     pub threads: usize,
-    /// Fault injection for every grid leg.
-    pub fault_profile: FaultProfile,
     /// Where to write the parallel grid's telemetry report; `None` runs the
     /// grid without telemetry and skips the `telemetry` stage.
     pub telemetry: Option<PathBuf>,
@@ -59,7 +57,6 @@ impl Default for BenchOptions {
     fn default() -> Self {
         BenchOptions {
             threads: snails_core::available_threads().max(2),
-            fault_profile: FaultProfile::NONE,
             telemetry: None,
         }
     }
@@ -103,7 +100,6 @@ pub fn run(
     alloc.start_counting();
     let mut out = SuiteOutcome::default();
     let threads = opts.threads;
-    let profile = opts.fault_profile;
 
     // Benchmark grid: the same (database × variant × workflow × question)
     // cells serially and on `threads` workers. The record comparison
@@ -115,7 +111,6 @@ pub fn run(
         .collect();
     let config = |t: usize| BenchmarkConfig {
         threads: Some(t),
-        fault_profile: profile,
         telemetry: opts.telemetry.is_some(),
         ..grid_config()
     };
@@ -128,9 +123,6 @@ pub fn run(
     let t1 = Instant::now();
     let parallel = run_benchmark_on(&collection, &config(threads));
     let parallel_ms = ms(t1);
-    // Under a fault profile this comparison also proves the resilience
-    // layer's determinism: same plans, failures, and retry counts at any
-    // thread count.
     // Deterministic telemetry sections must also be byte-identical at any
     // thread count (volatile sections — scheduler shape — are exempt).
     let det_json = |run: &BenchmarkRun| {
@@ -184,14 +176,12 @@ pub fn run(
     );
     // Fault accounting for the parallel run. Every planned cell must have
     // produced a record (failures become records; nothing aborts), so
-    // aborted_cells is the completeness check CI asserts on.
+    // aborted_cells is a completeness check.
     let aborted = parallel.faults.cells - parallel.records.len();
     out.stage(
         progress,
         format!(
-            "{{\"bench\":\"fault_summary\",\"profile\":\"{}\",\"aborted_cells\":{aborted},\
-             \"summary\":{}}}",
-            profile.name,
+            "{{\"bench\":\"fault_summary\",\"aborted_cells\":{aborted},\"summary\":{}}}",
             parallel.faults.to_json()
         ),
     );
@@ -246,7 +236,6 @@ fn checkpoint_resume(
 ) {
     let base = |dir: &std::path::Path| BenchmarkConfig {
         threads: Some(opts.threads),
-        fault_profile: opts.fault_profile,
         telemetry: true,
         checkpoint: Some(CheckpointSpec::at(dir)),
         ..grid_config()

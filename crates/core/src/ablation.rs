@@ -12,11 +12,11 @@
 //! τ ≈ 0) — demonstrating that the reproduced Figures 8–11 are driven by the
 //! decoding mechanism, not by an artifact of the pipeline.
 
+use crate::pipeline::{gold_context, EvalContext, GoldContext};
 use snails_data::SnailsDatabase;
 use snails_eval::report::{fmt2, TextTable};
 use snails_eval::stats::kendall_tau_b;
 use snails_eval::query_linking;
-use snails_llm::middleware::denaturalization_map;
 use snails_llm::{infer, ModelConfig, ModelKind, SchemaView};
 use snails_naturalness::category::SchemaVariant;
 use snails_sql::{extract_identifiers, parse};
@@ -108,23 +108,22 @@ pub fn run_ablation(config: &ModelConfig, db: &SnailsDatabase, seed: u64) -> Abl
     let mut recall = [0.0f64; 4];
     let mut xs = Vec::new();
     let mut ys = Vec::new();
+    let golds: Vec<GoldContext> = db.questions.iter().map(|p| gold_context(db, p)).collect();
     for (vi, &variant) in SchemaVariant::ALL.iter().enumerate() {
-        let view = SchemaView::new(db, variant);
-        let denat = denaturalization_map(db, variant);
+        let ctx = EvalContext::new(db, SchemaView::new(db, variant));
         let mut sum = 0.0;
         let mut n = 0usize;
-        for pair in &db.questions {
-            let inference = infer(config, db, &view, pair, seed);
-            let Ok(native_sql) = snails_sql::denaturalize_query(&inference.raw_sql, &denat)
+        for (pair, gold) in db.questions.iter().zip(&golds) {
+            let inference = infer(config, db, &ctx.view, pair, seed);
+            let Ok(native_sql) = snails_sql::denaturalize_query(&inference.raw_sql, &ctx.denat)
             else {
                 continue;
             };
-            let gold = extract_identifiers(&parse(&pair.sql).expect("gold parses"));
             let pred = extract_identifiers(&parse(&native_sql).expect("denat parses"));
-            let scores = query_linking(&gold, &pred);
+            let scores = query_linking(&gold.ids, &pred);
             sum += scores.recall;
             n += 1;
-            let measures = crate::measures::query_measures(db, variant, &gold);
+            let measures = crate::measures::query_measures(db, variant, &gold.ids);
             xs.push(measures.combined);
             ys.push(scores.recall);
         }

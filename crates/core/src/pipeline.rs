@@ -250,116 +250,20 @@ impl BenchmarkRun {
     }
 }
 
-/// Per-question gold context, computed once per database.
-struct GoldContext {
-    ids: snails_sql::QueryIdentifiers,
+/// Per-question gold context: the gold query's identifiers and its result
+/// set. [`gold_context`] builds it once per (database, question): the grid
+/// builds every one up front, a serve tenant each on its question's first
+/// `Ask`.
+pub struct GoldContext {
+    pub(crate) ids: snails_sql::QueryIdentifiers,
     result: Option<snails_engine::ResultSet>,
-}
-
-/// Reusable per-(database, variant) evaluation state.
-///
-/// Builds the denaturalization map once; repeated [`EvalContext::evaluate`]
-/// calls across workflows and questions share it instead of rebuilding it
-/// per call (it walks the full crosswalk).
-pub struct EvalContext<'a> {
-    db: &'a SnailsDatabase,
-    view: &'a SchemaView,
-    denat: snails_sql::IdentifierMap,
-    plans: PlanCache,
-}
-
-impl<'a> EvalContext<'a> {
-    /// Precompute the shared state for `db` at the view's variant.
-    pub fn new(db: &'a SnailsDatabase, view: &'a SchemaView) -> Self {
-        let denat = snails_llm::middleware::denaturalization_map(db, view.variant);
-        EvalContext { db, view, denat, plans: PlanCache::new() }
-    }
-
-    /// Evaluate one workflow on one question. The predicted SQL runs under
-    /// [`ExecLimits::guarded`], the budgets the grid
-    /// ([`BenchmarkConfig::default`]) and serve tenants apply to untrusted
-    /// model output, so the record equals the matching grid cell's.
-    pub fn evaluate(
-        &self,
-        workflow: Workflow,
-        pair: &snails_data::GoldPair,
-        seed: u64,
-    ) -> QueryRecord {
-        evaluate_cell_with(
-            workflow,
-            self.db,
-            self.view,
-            &self.denat,
-            pair,
-            seed,
-            &self.plans,
-            ExecOptions { limits: ExecLimits::guarded(), ..Default::default() },
-        )
-        .0
-    }
-}
-
-/// Evaluate one clean (no fault plan) grid cell against caller-owned shared
-/// state: a prebuilt denaturalization map, a shared [`PlanCache`], and the
-/// caller's [`ExecOptions`]. Returns the record plus the denaturalized SQL
-/// when the cell reached the execution stage.
-///
-/// This is the single-cell entry the serve layer uses: each tenant owns its
-/// plan cache and execution budgets, and the per-question gold context
-/// (parse the gold SQL, compile it and run the plan, compute its query
-/// measures) is rebuilt on every call. On the `serve_ask` workload of
-/// `perfbench` (seed 1, 2-vCPU VM, one traced run) the server's whole
-/// `Ask`, gold step included (`serve.exec_ms.ask`), takes a median of
-/// 0.19 ms and a p99 of 2.3 ms; no tenant caches the gold context yet.
-/// Batch callers should prefer [`run_benchmark_on`], which builds the
-/// gold context once per question and layers in fault planning.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_cell_with(
-    workflow: Workflow,
-    db: &SnailsDatabase,
-    view: &SchemaView,
-    denat: &snails_sql::IdentifierMap,
-    pair: &snails_data::GoldPair,
-    seed: u64,
-    plans: &PlanCache,
-    opts: ExecOptions,
-) -> (QueryRecord, Option<String>) {
-    let gold = gold_context(db, pair);
-    let qm = query_measures(db, view.variant, &gold.ids);
-    evaluate_with_context(
-        workflow,
-        db,
-        view,
-        pair,
-        seed,
-        denat,
-        &gold,
-        &qm,
-        &CellPlan::clean(0),
-        opts,
-        plans,
-    )
-}
-
-/// Evaluate one workflow on one question at one variant.
-///
-/// Convenience wrapper building a fresh [`EvalContext`]; batch callers
-/// should build the context once and call [`EvalContext::evaluate`].
-pub fn evaluate_question(
-    workflow: Workflow,
-    db: &SnailsDatabase,
-    view: &SchemaView,
-    pair: &snails_data::GoldPair,
-    seed: u64,
-) -> QueryRecord {
-    EvalContext::new(db, view).evaluate(workflow, pair, seed)
 }
 
 /// Parse the gold SQL once for its identifiers and its result. The result
 /// comes from a compiled plan run unbudgeted and outside any [`PlanCache`],
 /// so gold statements never move the grid's or a tenant's hit/miss
 /// counters.
-fn gold_context(db: &SnailsDatabase, pair: &snails_data::GoldPair) -> GoldContext {
+pub fn gold_context(db: &SnailsDatabase, pair: &snails_data::GoldPair) -> GoldContext {
     let stmt = parse(&pair.sql).expect("gold parses");
     let ids = extract_identifiers(&stmt);
     let result = snails_engine::compile(&db.db, &stmt)
@@ -368,161 +272,227 @@ fn gold_context(db: &SnailsDatabase, pair: &snails_data::GoldPair) -> GoldContex
     GoldContext { ids, result }
 }
 
-/// Build the record for a cell that never produced a usable inference:
-/// exhausted retries, an open breaker, or an isolated panic. Shaped like a
-/// parse failure (the paper's treatment of unusable generations) plus the
-/// failure classification and attempt count.
-#[allow(clippy::too_many_arguments)]
-fn failed_record(
-    workflow: Workflow,
-    db: &SnailsDatabase,
-    variant: SchemaVariant,
-    pair: &snails_data::GoldPair,
-    gold: &GoldContext,
-    qm: &QueryMeasures,
-    failure: FailureKind,
-    attempts: u32,
-) -> QueryRecord {
-    QueryRecord {
-        workflow: workflow.display_name(),
-        database: db.spec.name.to_owned(),
-        variant,
-        question_id: pair.id,
-        parse_ok: false,
-        set_matched: false,
-        exec_correct: false,
-        linking: None,
-        subset: None,
-        gold_ids: gold.ids.all(),
-        pred_ids: BTreeSet::new(),
-        measures: *qm,
-        failure: Some(failure),
-        attempts,
+/// Per-(database, variant) evaluation state: the schema view the model
+/// sees and the map that denaturalizes its output back to native names.
+///
+/// [`EvalContext::new`] is the one place evaluation builds that map (it
+/// walks the full crosswalk). The grid and the ablation study build one
+/// context per (database, variant), a serve tenant one per database, and
+/// [`evaluate_question`] one per call; each shares it across the questions
+/// and workflows it evaluates.
+pub struct EvalContext {
+    pub(crate) view: SchemaView,
+    pub(crate) denat: snails_sql::IdentifierMap,
+}
+
+/// One cell to evaluate: a workflow answering one gold question of a
+/// database under a fault plan.
+#[derive(Clone, Copy)]
+pub struct CellInput<'a> {
+    /// The database asked.
+    pub db: &'a SnailsDatabase,
+    /// The workflow (model row) answering.
+    pub workflow: Workflow,
+    /// The gold question.
+    pub pair: &'a snails_data::GoldPair,
+    /// Its gold context.
+    pub gold: &'a GoldContext,
+    /// Global inference seed.
+    pub seed: u64,
+    /// Retry/breaker/fault plan; [`CellPlan::clean`] outside fault runs.
+    pub plan: CellPlan,
+}
+
+/// What evaluating one cell decided: every [`QueryRecord`] field that
+/// depends on the prediction. The naturalness measures are not among them
+/// (they depend only on the gold query and the variant, and only the grid's
+/// analyses read them); callers that report records attach them through
+/// [`EvalContext::record`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// Whether the raw model output parsed.
+    pub parse_ok: bool,
+    /// Passed result set-superset matching (pre-audit).
+    pub set_matched: bool,
+    /// Final execution correctness (set match + semantic audit).
+    pub exec_correct: bool,
+    /// Query-level linking scores (absent when the output was unparseable).
+    pub linking: Option<LinkingScores>,
+    /// Schema-subsetting metrics for chained workflows.
+    pub subset: Option<(f64, f64, f64)>,
+    /// Predicted identifier set after denaturalization (uppercased).
+    pub pred_ids: BTreeSet<String>,
+    /// Terminal failure for this cell, if any.
+    pub failure: Option<FailureKind>,
+}
+
+impl Outcome {
+    /// A cell that never produced a usable inference: exhausted retries, an
+    /// open breaker, or an isolated panic. Shaped like a parse failure (the
+    /// paper's treatment of unusable generations) plus the failure.
+    pub fn failed(failure: FailureKind) -> Outcome {
+        Outcome {
+            parse_ok: false,
+            set_matched: false,
+            exec_correct: false,
+            linking: None,
+            subset: None,
+            pred_ids: BTreeSet::new(),
+            failure: Some(failure),
+        }
     }
 }
 
-/// Evaluate one grid cell. Returns the record plus the denaturalized SQL
-/// when the cell reached the execution stage — the checkpoint layer
-/// persists that SQL so a resumed run can re-warm the plan cache without
-/// re-running the cell.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_with_context(
+impl EvalContext {
+    /// Build the context for `db` seen through `view`.
+    pub fn new(db: &SnailsDatabase, view: SchemaView) -> EvalContext {
+        let denat = snails_llm::middleware::denaturalization_map(db, view.variant);
+        EvalContext { view, denat }
+    }
+
+    /// Evaluate one cell: infer, denaturalize, link, then run the predicted
+    /// SQL through `plans` under `opts` and match it against the gold
+    /// result. Returns the outcome plus the denaturalized SQL when the cell
+    /// reached the execution stage: the checkpoint layer persists that SQL
+    /// so a resumed run can re-warm the plan cache without re-running the
+    /// cell, and a serve tenant answers it.
+    pub fn evaluate(
+        &self,
+        cell: CellInput<'_>,
+        plans: &PlanCache,
+        opts: ExecOptions,
+    ) -> (Outcome, Option<String>) {
+        // Span guards are inert unless the scheduler installed an
+        // observability scope (telemetry runs); under the simulated clock
+        // their tick structure per task is exact, so the rollup joins the
+        // deterministic report.
+        let _cell = snails_obs::span("cell");
+        // The resilience middleware: retries/breaker/corruption were
+        // planned serially; `run_cell` executes the plan (and genuinely
+        // panics for planned-panic cells — the scheduler's isolation
+        // handles those).
+        let (result, failure) = {
+            let _s = snails_obs::span("cell.infer");
+            match run_cell(&cell.plan, cell.workflow, cell.db, &self.view, cell.pair, cell.seed) {
+                CellExecution::Completed { result, failure } => (result, failure),
+                CellExecution::Failed(kind) => return (Outcome::failed(kind), None),
+            }
+        };
+
+        let mut outcome = Outcome {
+            parse_ok: false,
+            set_matched: false,
+            exec_correct: false,
+            linking: None,
+            subset: result
+                .subset
+                .as_ref()
+                .map(|s| (s.recall(), s.precision(), s.f1())),
+            pred_ids: BTreeSet::new(),
+            failure,
+        };
+
+        // Denaturalize the raw output back to the Native namespace.
+        let denat_result = {
+            let _s = snails_obs::span("cell.denaturalize");
+            snails_sql::denaturalize_query(&result.inference.raw_sql, &self.denat)
+        };
+        let Ok(native_sql) = denat_result else {
+            return (outcome, None); // unparseable output: excluded from linking analysis
+        };
+        outcome.parse_ok = true;
+
+        // Schema linking (on the denaturalized query, appendix E.4).
+        {
+            let _s = snails_obs::span("cell.link");
+            let pred_stmt = parse(&native_sql).expect("denaturalization preserves parseability");
+            let pred_qi = extract_identifiers(&pred_stmt);
+            outcome.pred_ids = pred_qi.all();
+            outcome.linking = Some(query_linking(&cell.gold.ids, &pred_qi));
+        }
+
+        // Execution accuracy: run both queries, superset-match, audit. The
+        // predicted query is untrusted model output and runs under the
+        // caller's budgets; gold ran unguarded in `gold_context`. Predicted
+        // queries flow through the caller's plan cache: distinct workflows
+        // and questions frequently converge on the same denaturalized SQL,
+        // so the statement is lowered once and re-executed from the
+        // compiled plan.
+        let Some(gold_rs) = &cell.gold.result else { return (outcome, None) };
+        let _exec = snails_obs::span("cell.exec");
+        let pred_rs = match plans.run(&cell.db.db, &native_sql, opts) {
+            Ok(rs) => rs,
+            Err(e) => {
+                if e.is_resource_exhausted() {
+                    outcome.failure = Some(FailureKind::ResourceExhausted);
+                }
+                return (outcome, Some(native_sql));
+            }
+        };
+        if match_result_sets(gold_rs, &pred_rs).is_match() {
+            outcome.set_matched = true;
+            outcome.exec_correct = audit_semantics(&cell.pair.sql, &native_sql);
+        }
+        (outcome, Some(native_sql))
+    }
+
+    /// The record of an evaluated cell, carrying the naturalness
+    /// `measures` of its gold query at this context's variant.
+    pub fn record(
+        &self,
+        cell: CellInput<'_>,
+        outcome: Outcome,
+        measures: QueryMeasures,
+    ) -> QueryRecord {
+        QueryRecord {
+            workflow: cell.workflow.display_name(),
+            database: cell.db.spec.name.to_owned(),
+            variant: self.view.variant,
+            question_id: cell.pair.id,
+            parse_ok: outcome.parse_ok,
+            set_matched: outcome.set_matched,
+            exec_correct: outcome.exec_correct,
+            linking: outcome.linking,
+            subset: outcome.subset,
+            gold_ids: cell.gold.ids.all(),
+            pred_ids: outcome.pred_ids,
+            measures,
+            failure: outcome.failure,
+            attempts: cell.plan.attempts,
+        }
+    }
+}
+
+/// Evaluate one workflow on one question at one variant.
+///
+/// Builds the question's contexts for this one call and runs the predicted
+/// SQL under [`ExecLimits::guarded`], the budgets the grid
+/// ([`BenchmarkConfig::default`]) and serve tenants apply to untrusted
+/// model output, so the record equals the matching grid cell's. Batch
+/// callers should prefer [`run_benchmark_on`], which builds every context
+/// once and layers in fault planning.
+pub fn evaluate_question(
     workflow: Workflow,
     db: &SnailsDatabase,
     view: &SchemaView,
     pair: &snails_data::GoldPair,
     seed: u64,
-    denat: &snails_sql::IdentifierMap,
-    gold: &GoldContext,
-    qm: &QueryMeasures,
-    plan: &CellPlan,
-    opts: ExecOptions,
-    plans: &PlanCache,
-) -> (QueryRecord, Option<String>) {
-    let variant = view.variant;
-    // Span guards are inert unless the scheduler installed an observability
-    // scope (telemetry runs); under the simulated clock their tick structure
-    // per task is exact, so the rollup joins the deterministic report.
-    let _cell = snails_obs::span("cell");
-    // The resilience middleware: retries/breaker/corruption were planned
-    // serially; `run_cell` executes the plan (and genuinely panics for
-    // planned-panic cells — the scheduler's isolation handles those).
-    let (result, failure) = {
-        let _s = snails_obs::span("cell.infer");
-        match run_cell(plan, workflow, db, view, pair, seed) {
-            CellExecution::Completed { result, failure } => (result, failure),
-            CellExecution::Failed(kind) => {
-                return (
-                    failed_record(workflow, db, variant, pair, gold, qm, kind, plan.attempts),
-                    None,
-                )
-            }
-        }
-    };
-
-    let mut record = QueryRecord {
-        workflow: result.workflow,
-        database: db.spec.name.to_owned(),
-        variant,
-        question_id: pair.id,
-        parse_ok: false,
-        set_matched: false,
-        exec_correct: false,
-        linking: None,
-        subset: result
-            .subset
-            .as_ref()
-            .map(|s| (s.recall(), s.precision(), s.f1())),
-        gold_ids: gold.ids.all(),
-        pred_ids: BTreeSet::new(),
-        measures: *qm,
-        failure,
-        attempts: plan.attempts,
-    };
-
-    // Denaturalize the raw output back to the Native namespace.
-    let denat_result = {
-        let _s = snails_obs::span("cell.denaturalize");
-        snails_sql::denaturalize_query(&result.inference.raw_sql, denat)
-    };
-    let Ok(native_sql) = denat_result else {
-        return (record, None); // unparseable output: excluded from linking analysis
-    };
-    record.parse_ok = true;
-
-    // Schema linking (on the denaturalized query, appendix E.4).
-    {
-        let _s = snails_obs::span("cell.link");
-        let pred_stmt = parse(&native_sql).expect("denaturalization preserves parseability");
-        let pred_qi = extract_identifiers(&pred_stmt);
-        record.pred_ids = pred_qi.all();
-        record.linking = Some(query_linking(&gold.ids, &pred_qi));
-    }
-
-    // Execution accuracy: run both queries, superset-match, audit. The
-    // predicted query is untrusted model output and runs under the
-    // configured budgets; gold ran unguarded in `gold_context`. Predicted
-    // queries flow through the shared plan cache: distinct workflows and
-    // questions frequently converge on the same denaturalized SQL, so the
-    // statement is lowered once and re-executed from the compiled plan.
-    let Some(gold_rs) = &gold.result else { return (record, None) };
-    let _exec = snails_obs::span("cell.exec");
-    let pred_rs = match plans.run(&db.db, &native_sql, opts) {
-        Ok(rs) => rs,
-        Err(e) => {
-            if e.is_resource_exhausted() {
-                record.failure = Some(FailureKind::ResourceExhausted);
-            }
-            return (record, Some(native_sql));
-        }
-    };
-    if match_result_sets(gold_rs, &pred_rs).is_match() {
-        record.set_matched = true;
-        record.exec_correct = audit_semantics(&pair.sql, &native_sql);
-    }
-    (record, Some(native_sql))
-}
-
-/// Per-(database, variant) shared state for a benchmark run: the schema
-/// view, the denaturalization map, and the per-question naturalness
-/// measures — each computed once and shared read-only by every worker.
-struct VariantContext {
-    view: SchemaView,
-    denat: snails_sql::IdentifierMap,
-    measures: Vec<QueryMeasures>,
+) -> QueryRecord {
+    let ctx = EvalContext::new(db, view.clone());
+    let gold = gold_context(db, pair);
+    let cell = CellInput { db, workflow, pair, gold: &gold, seed, plan: CellPlan::clean(0) };
+    let opts = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
+    let (outcome, _) = ctx.evaluate(cell, &PlanCache::new(), opts);
+    ctx.record(cell, outcome, query_measures(db, view.variant, &gold.ids))
 }
 
 /// One cell of the (database × variant × workflow × question) grid.
 struct WorkItem<'a> {
-    db: &'a SnailsDatabase,
-    vctx: &'a VariantContext,
-    workflow: Workflow,
-    pair: &'a snails_data::GoldPair,
-    gold: &'a GoldContext,
+    ctx: &'a EvalContext,
+    /// The cell, with the retry/breaker/fault plan the serial planning
+    /// pre-pass computed for it (see [`run_benchmark_on`]).
+    cell: CellInput<'a>,
     qm: &'a QueryMeasures,
-    /// Retry/breaker/fault plan for this cell, computed by the serial
-    /// planning pre-pass (see [`run_benchmark_on`]).
-    plan: CellPlan,
     /// Circuit-breaker trips the planning of *this* cell caused. Attributing
     /// trips to cells (instead of reading the planner's global total) makes
     /// [`FaultSummary`] componentwise-summable over disjoint shards.
@@ -563,26 +533,25 @@ pub fn run_benchmark_on(
         })
         .collect();
 
-    // Shared per-(db, question) and per-(db, variant) contexts, computed
-    // once up front instead of per grid cell.
+    // Shared per-(db, question) and per-(db, variant) contexts, with the
+    // per-question naturalness measures of each variant, computed once up
+    // front instead of per grid cell and shared read-only by every worker.
     let golds: Vec<Vec<GoldContext>> = dbs
         .iter()
         .map(|db| db.questions.iter().map(|p| gold_context(db, p)).collect())
         .collect();
-    let variants: Vec<Vec<VariantContext>> = dbs
+    let variants: Vec<Vec<(EvalContext, Vec<QueryMeasures>)>> = dbs
         .iter()
         .zip(&golds)
         .map(|(db, golds)| {
             config
                 .variants
                 .iter()
-                .map(|&variant| VariantContext {
-                    view: SchemaView::new(db, variant),
-                    denat: snails_llm::middleware::denaturalization_map(db, variant),
-                    measures: golds
-                        .iter()
-                        .map(|g| query_measures(db, variant, &g.ids))
-                        .collect(),
+                .map(|&variant| {
+                    let ctx = EvalContext::new(db, SchemaView::new(db, variant));
+                    let measures =
+                        golds.iter().map(|g| query_measures(db, variant, &g.ids)).collect();
+                    (ctx, measures)
                 })
                 .collect()
         })
@@ -621,7 +590,7 @@ pub fn run_benchmark_on(
 
     let mut items: Vec<WorkItem<'_>> = Vec::new();
     for (di, &db) in dbs.iter().enumerate() {
-        for vctx in &variants[di] {
+        for (ctx, measures) in &variants[di] {
             for &workflow in &config.workflows {
                 for (qi, pair) in db.questions.iter().enumerate() {
                     let (plan, trips) = match planner.as_mut() {
@@ -630,7 +599,7 @@ pub fn run_benchmark_on(
                                 &[
                                     workflow.display_name(),
                                     db.spec.name,
-                                    vctx.view.variant.display_name(),
+                                    ctx.view.variant.display_name(),
                                     "fault-cell",
                                 ],
                                 &[config.seed, pair.id as u64],
@@ -650,13 +619,16 @@ pub fn run_benchmark_on(
                         }
                     };
                     items.push(WorkItem {
-                        db,
-                        vctx,
-                        workflow,
-                        pair,
-                        gold: &golds[di][qi],
-                        qm: &vctx.measures[qi],
-                        plan,
+                        ctx,
+                        cell: CellInput {
+                            db,
+                            workflow,
+                            pair,
+                            gold: &golds[di][qi],
+                            seed: config.seed,
+                            plan,
+                        },
+                        qm: &measures[qi],
                         trips,
                     });
                 }
@@ -695,7 +667,7 @@ pub fn run_benchmark_on(
                     // uninterrupted run would have had at *some* interleaving
                     // (cache contents only affect speed, never results).
                     if let Some(sql) = &exec_sql {
-                        plans.warm(&item.db.db, sql);
+                        plans.warm(&item.cell.db.db, sql);
                     }
                     Some(Restored { record, delta })
                 }
@@ -728,19 +700,9 @@ pub fn run_benchmark_on(
     let capture = store.is_some() && obs.is_some();
     let run_cell_slot = |slot: &ExecSlot<'_, '_>| {
         let it = slot.item;
-        evaluate_with_context(
-            it.workflow,
-            it.db,
-            &it.vctx.view,
-            it.pair,
-            config.seed,
-            &it.vctx.denat,
-            it.gold,
-            it.qm,
-            &it.plan,
-            ExecOptions { limits: config.limits, ..Default::default() },
-            &plans,
-        )
+        let opts = ExecOptions { limits: config.limits, ..Default::default() };
+        let (outcome, exec_sql) = it.ctx.evaluate(it.cell, &plans, opts);
+        (it.ctx.record(it.cell, outcome, *it.qm), exec_sql)
     };
     let computed = scheduler::run_ordered_observed_keyed(
         &pending,
@@ -804,16 +766,7 @@ pub fn run_benchmark_on(
                 std::panic::resume_unwind(payload);
             }
             let it = slot.item;
-            failed_record(
-                it.workflow,
-                it.db,
-                it.vctx.view.variant,
-                it.pair,
-                it.gold,
-                it.qm,
-                FailureKind::Panic,
-                it.plan.attempts,
-            )
+            it.ctx.record(it.cell, Outcome::failed(FailureKind::Panic), *it.qm)
         },
     );
     stats.written = store.as_ref().map_or(0, |s| s.written());
@@ -860,8 +813,8 @@ pub fn run_benchmark_on(
             continue;
         }
         faults.cells += 1;
-        faults.attempts += u64::from(it.plan.attempts);
-        faults.retries += u64::from(it.plan.retries());
+        faults.attempts += u64::from(it.cell.plan.attempts);
+        faults.retries += u64::from(it.cell.plan.retries());
         faults.breaker_trips += it.trips;
     }
     for r in &records {

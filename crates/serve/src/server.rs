@@ -53,9 +53,6 @@ pub struct ServeConfig {
     /// Fault injection for request execution ([`FaultProfile::NONE`]
     /// disables the fault path entirely).
     pub fault_profile: FaultProfile,
-    /// Server-side retry budget for transient injected faults (attempts
-    /// beyond the first) before answering [`ServeError::Transient`].
-    pub fault_retries: u32,
     /// Collect telemetry (queue gauges, latency histograms, admission
     /// counters) into an [`ObsCtx`], surfaced by
     /// [`Server::telemetry_report`].
@@ -71,11 +68,14 @@ impl Default for ServeConfig {
             threads: 0,
             serial: false,
             fault_profile: FaultProfile::NONE,
-            fault_retries: 2,
             telemetry: false,
         }
     }
 }
+
+/// Server-side retry budget for transient injected faults (attempts beyond
+/// the first) before a request answers [`ServeError::Transient`].
+const FAULT_RETRIES: u32 = 2;
 
 /// A boxed completion: called exactly once with the request's response.
 pub type Reply = Box<dyn FnOnce(Response) + Send>;
@@ -445,7 +445,7 @@ impl Server {
         let (kind, _attempts) = self
             .cfg
             .fault_profile
-            .draw_terminal(self.fault_seed(tenant, tag), self.cfg.fault_retries);
+            .draw_terminal(self.fault_seed(tenant, tag), FAULT_RETRIES);
         if kind.is_some() {
             self.obs_add(Metric::ServeFaultsInjected, 1);
         }

@@ -7,16 +7,25 @@
 //! there is no shared map for a collision to happen in. The isolation
 //! integration test drives two tenants with identical schemas, identical
 //! normalized SQL, and different contents to hold this.
+//!
+//! `Ask` runs the benchmark pipeline's cell evaluator
+//! ([`EvalContext::evaluate`]) on contexts the tenant keeps: one native
+//! [`EvalContext`] per full database, built at start, and one
+//! [`GoldContext`] per question, built on that question's first `Ask`. So
+//! the gold query is parsed and executed once per question for the
+//! tenant's life, and no naturalness measures are computed: the `Answer`
+//! frame carries none.
 
 use crate::protocol::{Response, ServeError, TenantStats, WireValue, MAX_RESPONSE_ROWS};
-use snails_core::pipeline::evaluate_cell_with;
+use snails_core::pipeline::{gold_context, CellInput, EvalContext, GoldContext};
 use snails_data::SnailsDatabase;
 use snails_engine::{Database, ExecLimits, ExecOptions, PlanCache, ResultSet};
+use snails_llm::resilience::CellPlan;
 use snails_llm::{ModelKind, SchemaView, Workflow};
 use snails_naturalness::category::SchemaVariant;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What a tenant database is backed by.
 #[derive(Clone)]
@@ -76,19 +85,20 @@ impl TenantSpec {
     }
 }
 
-/// One database inside a tenant, with the pipeline context prebuilt when
-/// the source is [`TenantSource::Full`].
+/// One database inside a tenant, with the pipeline contexts `Ask` needs
+/// when the source is [`TenantSource::Full`].
 struct TenantDb {
     source: TenantSource,
-    /// Native-variant schema view + denaturalization map, built once at
-    /// tenant construction (the serve layer always faces the native
-    /// namespace; variant sweeps stay in the benchmark pipeline).
-    pipeline: Option<PipelineCtx>,
-}
-
-struct PipelineCtx {
-    view: SchemaView,
-    denat: snails_sql::IdentifierMap,
+    /// Native-variant evaluation context, built once at tenant construction
+    /// (the serve layer always faces the native namespace; variant sweeps
+    /// stay in the benchmark pipeline).
+    ctx: Option<EvalContext>,
+    /// One slot per question, in the database's question order, filled on
+    /// the question's first `Ask` and kept for the tenant's life: at most
+    /// one gold context per question. Building them all at start would
+    /// put every gold query's execution on the tenant's startup path.
+    /// Empty for raw sources.
+    golds: Vec<OnceLock<GoldContext>>,
 }
 
 impl TenantDb {
@@ -134,18 +144,18 @@ pub struct Tenant {
 
 impl Tenant {
     /// Build a tenant from its spec, precomputing the native-variant
-    /// pipeline context for every full database.
+    /// evaluation context for every full database.
     pub fn new(spec: TenantSpec) -> Tenant {
         let mut dbs = BTreeMap::new();
         for source in spec.databases {
-            let pipeline = match &source {
-                TenantSource::Full(s) => Some(PipelineCtx {
-                    view: SchemaView::new(s, SchemaVariant::Native),
-                    denat: snails_llm::middleware::denaturalization_map(s, SchemaVariant::Native),
-                }),
-                TenantSource::Raw { .. } => None,
+            let (ctx, golds) = match &source {
+                TenantSource::Full(s) => (
+                    Some(EvalContext::new(s, SchemaView::new(s, SchemaVariant::Native))),
+                    s.questions.iter().map(|_| OnceLock::new()).collect(),
+                ),
+                TenantSource::Raw { .. } => (None, Vec::new()),
             };
-            dbs.insert(source.name().to_uppercase(), TenantDb { source, pipeline });
+            dbs.insert(source.name().to_uppercase(), TenantDb { source, ctx, golds });
         }
         Tenant {
             name: spec.name,
@@ -182,7 +192,8 @@ impl Tenant {
     /// The response is a pure function of `(tenant state, request, seed)`:
     /// the simulated model inference is seeded, so asking the same question
     /// twice yields the same answer — which is what makes `Ask` responses
-    /// replayable in the deterministic load tests.
+    /// replayable in the deterministic load tests. The question's gold
+    /// context is built on its first `Ask` and reused by every later one.
     pub fn ask(
         &self,
         database: &str,
@@ -192,37 +203,38 @@ impl Tenant {
         tag: u64,
     ) -> Result<Response, ServeError> {
         let db = self.db(database)?;
-        let (TenantSource::Full(snails), Some(ctx)) = (&db.source, &db.pipeline) else {
+        let (TenantSource::Full(snails), Some(ctx)) = (&db.source, &db.ctx) else {
             return Err(ServeError::UnknownQuestion);
         };
         let model = *ModelKind::ALL
             .get(usize::from(model))
             .ok_or(ServeError::BadRequest)?;
-        let pair = snails
+        let (index, pair) = snails
             .questions
             .iter()
-            .find(|p| p.id == question_id as usize)
+            .enumerate()
+            .find(|(_, p)| p.id == question_id as usize)
             .ok_or(ServeError::UnknownQuestion)?;
-        let (record, native_sql) = evaluate_cell_with(
-            Workflow::ZeroShot(model),
-            snails,
-            &ctx.view,
-            &ctx.denat,
+        let gold = db.golds[index].get_or_init(|| gold_context(snails, pair));
+        let cell = CellInput {
+            db: snails,
+            workflow: Workflow::ZeroShot(model),
             pair,
+            gold,
             seed,
-            &self.plans,
-            self.exec_options(),
-        );
-        let recall_permille = match record.linking {
+            plan: CellPlan::clean(0),
+        };
+        let (outcome, native_sql) = ctx.evaluate(cell, &self.plans, self.exec_options());
+        let recall_permille = match outcome.linking {
             Some(l) => (l.recall * 1000.0).round() as u16,
             None => u16::MAX,
         };
         Ok(Response::Answer {
             tag,
             sql: native_sql.unwrap_or_default(),
-            parse_ok: record.parse_ok,
-            set_matched: record.set_matched,
-            exec_correct: record.exec_correct,
+            parse_ok: outcome.parse_ok,
+            set_matched: outcome.set_matched,
+            exec_correct: outcome.exec_correct,
             recall_permille,
         })
     }

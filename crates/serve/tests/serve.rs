@@ -236,6 +236,76 @@ fn unknown_tenant_database_and_question_get_typed_errors() {
     server.shutdown();
 }
 
+/// A served `Ask` is the grid's Native zero-shot cell for the same
+/// question, model and seed. Every question is asked twice per model: the
+/// two frames must be the same bytes, and only a question's first `Ask`
+/// may execute its gold query (the second reads the tenant's cached gold
+/// context), so the first runs exactly one statement more than the second.
+#[test]
+fn served_answers_match_the_grid_and_reuse_the_gold_context() {
+    use snails_core::pipeline::{run_benchmark_on, BenchmarkConfig};
+    use snails_llm::{ModelKind, Workflow};
+    use snails_naturalness::category::SchemaVariant;
+    use snails_obs::{ClockMode, Metric, ObsCtx};
+
+    let server =
+        Server::start(serial_cfg(1, 64, 8), vec![TenantSpec::full("alpha", vec![cwo()])]);
+    let seed = server.config().seed;
+    let grid = run_benchmark_on(
+        std::slice::from_ref(&*cwo()),
+        &BenchmarkConfig {
+            seed,
+            databases: vec!["CWO".into()],
+            variants: vec![SchemaVariant::Native],
+            workflows: ModelKind::ALL.iter().map(|&m| Workflow::ZeroShot(m)).collect(),
+            ..BenchmarkConfig::default()
+        },
+    );
+    assert_eq!(grid.records.len(), ModelKind::ALL.len() * cwo().questions.len());
+    let obs = Arc::new(ObsCtx::new(ClockMode::Sim));
+    let _scope = snails_obs::scope(&obs);
+    let statements = || obs.registry.counter(Metric::EngineExecStatements);
+    let mut asked = std::collections::BTreeSet::new();
+    for (tag, record) in grid.records.iter().enumerate() {
+        let model = ModelKind::ALL
+            .iter()
+            .position(|&m| Workflow::ZeroShot(m).display_name() == record.workflow)
+            .expect("a zero-shot model");
+        let ask = Request::Ask {
+            tag: tag as u64,
+            tenant: "alpha".into(),
+            database: "CWO".into(),
+            question_id: record.question_id as u32,
+            model: model as u8,
+        };
+        let before = statements();
+        let first = server.execute(&ask);
+        let between = statements();
+        let second = server.execute(&ask);
+        let gold_runs = (between - before) - (statements() - between);
+        let first_ask = asked.insert(record.question_id);
+        assert_eq!(gold_runs, u64::from(first_ask), "gold executions for {ask:?}");
+        assert!(
+            encode_response(&first) == encode_response(&second),
+            "{ask:?} answered differently the second time"
+        );
+        let Response::Answer { parse_ok, set_matched, exec_correct, recall_permille, .. } = first
+        else {
+            panic!("expected an answer to {ask:?}, got {first:?}")
+        };
+        let recall = record.linking.map_or(u16::MAX, |l| (l.recall * 1000.0).round() as u16);
+        assert_eq!(
+            (parse_ok, set_matched, exec_correct, recall_permille),
+            (record.parse_ok, record.set_matched, record.exec_correct, recall),
+            "{} q{}",
+            record.workflow,
+            record.question_id
+        );
+    }
+    assert_eq!(asked.len(), cwo().questions.len());
+    server.shutdown();
+}
+
 #[test]
 fn tenant_plan_cache_is_bounded_and_evicted_statements_still_answer() {
     // Each missing-table statement compiles (the error surfaces only at

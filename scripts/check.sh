@@ -36,17 +36,6 @@ echo "==> perfbench: build and self-test the frozen benchmark (offline)"
 # it uses. Same target directory as perfbench/run.py.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> snails bench --fault-profile flaky (smoke: zero aborted cells)"
-# The bench exits non-zero when any grid cell aborts without a record or
-# when parallel records diverge from serial; grep double-checks the
-# machine-readable line it prints.
-bench_out=$(cargo run -q --release --offline --bin snails -- bench --fault-profile flaky)
-echo "$bench_out"
-echo "$bench_out" | grep -q '"bench":"fault_summary","profile":"flaky","aborted_cells":0' || {
-    echo "error: flaky fault smoke run reported aborted cells" >&2
-    exit 1
-}
-
 echo "==> snails bench --telemetry (smoke: deterministic report, full key coverage)"
 # Telemetry smoke: the report must parse, the deterministic section must
 # be byte-identical across thread counts (the bench exits non-zero
@@ -118,6 +107,38 @@ cmp -s "$manifest_dir/clean.txt" "$manifest_dir/merged.txt" || {
     exit 1
 }
 echo "    kill@200 resume and 2-way shard merge both byte-identical"
+
+echo "==> snails grid --fault-profile flaky (every cell a record; 1 and 8 threads byte-identical)"
+# The flaky profile drives the resilience layer: retries, breaker trips,
+# corrupted completions and injected panics. Every planned cell must end
+# in a record (the done line's records equal its cells), and the manifest
+# (records, fault summary and deterministic telemetry) must be the same
+# bytes at 1 and 8 threads.
+for t in 1 8; do
+    "$snails" grid --fault-profile flaky --telemetry --threads "$t" \
+        --out "$manifest_dir/flaky$t.txt" 2> "$manifest_dir/flaky$t.log"
+done
+cmp -s "$manifest_dir/flaky1.txt" "$manifest_dir/flaky8.txt" || {
+    echo "error: the flaky grid's manifest differs between 1 and 8 threads" >&2
+    exit 1
+}
+python3 - "$manifest_dir" <<'PY'
+import json, sys
+root = sys.argv[1]
+for t in (1, 8):
+    lines = [l for l in open(f"{root}/flaky{t}.log") if l.startswith('{"grid":"done"')]
+    assert len(lines) == 1, f"threads {t}: no done line from snails grid"
+    done = json.loads(lines[0])
+    assert done["records"] == done["cells"], (
+        f"threads {t}: {done['records']} records for {done['cells']} cells")
+manifest = open(f"{root}/flaky1.txt").read().splitlines()
+assert "profile flaky" in manifest, "the manifest is not a flaky run"
+faults = next(l for l in manifest if l.startswith("F ")).split()
+assert int(faults[3]) > 0, "the flaky profile caused no retries"
+assert any(l.startswith("TC ") for l in manifest), "the manifest carries no telemetry"
+print(f"    {done['cells']} cells, {faults[3]} retries, {faults[5]} failure kinds; "
+      "manifests identical at 1 and 8 threads")
+PY
 
 echo "==> BENCH_engine.json artifact (exists, well-formed, plan stage present)"
 # `snails bench` writes the artifact as its last act; it must exist, be

@@ -8,8 +8,7 @@
 //! snails ask <DB> <question-id> [model]  # run one simulated inference
 //! snails sql <DB> "<query>"              # execute SQL on a benchmark DB
 //! snails list                            # the nine databases
-//! snails bench [threads] [--fault-profile none|flaky|hostile]
-//!              [--telemetry <path>]
+//! snails bench [threads] [--telemetry <path>]
 //!                                        # wall-clock timings (JSON lines)
 //! snails grid [--shard i/n] [--ckpt DIR] [--out manifest]
 //!             [--kill-after N]
@@ -67,7 +66,7 @@ fn print_usage() {
          USAGE:\n  snails classify <identifier>...\n  snails abbreviate <identifier> [low|least]\n  \
          snails expand <identifier>...\n  snails audit <DB>\n  snails ask <DB> <question-id> [model]\n  \
          snails sql <DB> \"<query>\"\n  snails list\n  \
-         snails bench [threads] [--fault-profile none|flaky|hostile] [--telemetry <path>]\n  \
+         snails bench [threads] [--telemetry <path>]\n  \
          snails grid [--seed N] [--threads N] [--fault-profile P] [--telemetry]\n              \
          [--shard i/n] [--ckpt DIR] [--kill-after N] [--out <manifest>]\n  \
          snails merge [--out <manifest>] <shard-manifest>...\n  \
@@ -398,13 +397,7 @@ fn bench(args: &[String]) {
     let mut opts = BenchOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        if arg == "--fault-profile" {
-            let Some(p) = it.next().and_then(|n| FaultProfile::by_name(n)) else {
-                eprintln!("bench: --fault-profile takes none|flaky|hostile");
-                std::process::exit(2);
-            };
-            opts.fault_profile = p;
-        } else if arg == "--telemetry" {
+        if arg == "--telemetry" {
             let Some(p) = it.next() else {
                 eprintln!("bench: --telemetry takes an output path");
                 std::process::exit(2);
@@ -595,7 +588,6 @@ impl ServeArgs {
             serial: self.serial,
             fault_profile: self.fault_profile,
             telemetry: true,
-            ..Default::default()
         }
     }
 
