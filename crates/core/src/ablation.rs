@@ -17,7 +17,8 @@ use snails_data::SnailsDatabase;
 use snails_eval::report::{fmt2, TextTable};
 use snails_eval::stats::kendall_tau_b;
 use snails_eval::query_linking;
-use snails_llm::{infer, ModelConfig, ModelKind, SchemaView};
+use snails_llm::generate::infer_gold;
+use snails_llm::{ModelConfig, ModelKind, SchemaView};
 use snails_naturalness::category::SchemaVariant;
 use snails_sql::{extract_identifiers, parse};
 
@@ -114,16 +115,16 @@ pub fn run_ablation(config: &ModelConfig, db: &SnailsDatabase, seed: u64) -> Abl
         let mut sum = 0.0;
         let mut n = 0usize;
         for (pair, gold) in db.questions.iter().zip(&golds) {
-            let inference = infer(config, db, &ctx.view, pair, seed);
+            let inference = infer_gold(config, db, &ctx.view, pair, &gold.query, seed);
             let Ok(native_sql) = snails_sql::denaturalize_query(&inference.raw_sql, &ctx.denat)
             else {
                 continue;
             };
             let pred = extract_identifiers(&parse(&native_sql).expect("denat parses"));
-            let scores = query_linking(&gold.ids, &pred);
+            let scores = query_linking(&gold.query.ids, &pred);
             sum += scores.recall;
             n += 1;
-            let measures = crate::measures::query_measures(db, variant, &gold.ids);
+            let measures = crate::measures::query_measures(db, variant, &gold.query.ids);
             xs.push(measures.combined);
             ys.push(scores.recall);
         }

@@ -12,7 +12,7 @@ use snails_eval::{audit_semantics, match_result_sets, query_linking, LinkingScor
 use snails_llm::faults::{self, FailureKind, FaultProfile};
 use snails_llm::generate::mix_seed;
 use snails_llm::resilience::{CellExecution, CellPlan, Planner, ResilienceConfig};
-use snails_llm::{run_cell, SchemaView, Workflow};
+use snails_llm::{run_cell, GoldQuery, SchemaView, Workflow};
 use snails_naturalness::category::SchemaVariant;
 use snails_obs::{ClockMode, Metric, ObsCtx, Report};
 use snails_sql::{extract_identifiers, parse};
@@ -250,26 +250,25 @@ impl BenchmarkRun {
     }
 }
 
-/// Per-question gold context: the gold query's identifiers and its result
-/// set. [`gold_context`] builds it once per (database, question): the grid
-/// builds every one up front, a serve tenant each on its question's first
-/// `Ask`.
+/// Per-question gold context: the parsed gold query (statement and
+/// identifiers) and its result set. [`gold_context`] builds it once per
+/// (database, question): the grid builds every one up front, a serve tenant
+/// each on its question's first `Ask`.
 pub struct GoldContext {
-    pub(crate) ids: snails_sql::QueryIdentifiers,
+    pub(crate) query: GoldQuery,
     result: Option<snails_engine::ResultSet>,
 }
 
-/// Parse the gold SQL once for its identifiers and its result. The result
-/// comes from a compiled plan run unbudgeted and outside any [`PlanCache`],
-/// so gold statements never move the grid's or a tenant's hit/miss
-/// counters.
+/// Parse the gold SQL once for the inference, its identifiers and its
+/// result. The result comes from a compiled plan run unbudgeted and outside
+/// any [`PlanCache`], so gold statements never move the grid's or a
+/// tenant's hit/miss counters.
 pub fn gold_context(db: &SnailsDatabase, pair: &snails_data::GoldPair) -> GoldContext {
-    let stmt = parse(&pair.sql).expect("gold parses");
-    let ids = extract_identifiers(&stmt);
-    let result = snails_engine::compile(&db.db, &stmt)
+    let query = GoldQuery::parse(&pair.sql);
+    let result = snails_engine::compile(&db.db, &query.statement)
         .and_then(|plan| plan.execute(&db.db, ExecOptions::default()))
         .ok();
-    GoldContext { ids, result }
+    GoldContext { query, result }
 }
 
 /// Per-(database, variant) evaluation state: the schema view the model
@@ -303,13 +302,17 @@ pub struct CellInput<'a> {
     pub plan: CellPlan,
 }
 
-/// What evaluating one cell decided: every [`QueryRecord`] field that
-/// depends on the prediction. The naturalness measures are not among them
-/// (they depend only on the gold query and the variant, and only the grid's
-/// analyses read them); callers that report records attach them through
-/// [`EvalContext::record`].
+/// What evaluating one cell decided: the model's completion and every
+/// [`QueryRecord`] field that depends on it. The naturalness measures are
+/// not among them (they depend only on the gold query and the variant, and
+/// only the grid's analyses read them); callers that report records attach
+/// them through [`EvalContext::record`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
+    /// The completion as the model emitted it, in the displayed namespace
+    /// (after any planned payload corruption); `None` when no inference
+    /// was delivered.
+    pub raw_sql: Option<String>,
     /// Whether the raw model output parsed.
     pub parse_ok: bool,
     /// Passed result set-superset matching (pre-audit).
@@ -332,6 +335,7 @@ impl Outcome {
     /// paper's treatment of unusable generations) plus the failure.
     pub fn failed(failure: FailureKind) -> Outcome {
         Outcome {
+            raw_sql: None,
             parse_ok: false,
             set_matched: false,
             exec_correct: false,
@@ -373,13 +377,20 @@ impl EvalContext {
         // handles those).
         let (result, failure) = {
             let _s = snails_obs::span("cell.infer");
-            match run_cell(&cell.plan, cell.workflow, cell.db, &self.view, cell.pair, cell.seed) {
+            let CellInput { db, workflow, pair, gold, seed, plan } = cell;
+            match run_cell(&plan, workflow, db, &self.view, pair, &gold.query, seed) {
                 CellExecution::Completed { result, failure } => (result, failure),
                 CellExecution::Failed(kind) => return (Outcome::failed(kind), None),
             }
         };
 
+        // Denaturalize the raw output back to the Native namespace.
+        let denat_result = {
+            let _s = snails_obs::span("cell.denaturalize");
+            snails_sql::denaturalize_query(&result.inference.raw_sql, &self.denat)
+        };
         let mut outcome = Outcome {
+            raw_sql: Some(result.inference.raw_sql),
             parse_ok: false,
             set_matched: false,
             exec_correct: false,
@@ -390,12 +401,6 @@ impl EvalContext {
                 .map(|s| (s.recall(), s.precision(), s.f1())),
             pred_ids: BTreeSet::new(),
             failure,
-        };
-
-        // Denaturalize the raw output back to the Native namespace.
-        let denat_result = {
-            let _s = snails_obs::span("cell.denaturalize");
-            snails_sql::denaturalize_query(&result.inference.raw_sql, &self.denat)
         };
         let Ok(native_sql) = denat_result else {
             return (outcome, None); // unparseable output: excluded from linking analysis
@@ -408,7 +413,7 @@ impl EvalContext {
             let pred_stmt = parse(&native_sql).expect("denaturalization preserves parseability");
             let pred_qi = extract_identifiers(&pred_stmt);
             outcome.pred_ids = pred_qi.all();
-            outcome.linking = Some(query_linking(&cell.gold.ids, &pred_qi));
+            outcome.linking = Some(query_linking(&cell.gold.query.ids, &pred_qi));
         }
 
         // Execution accuracy: run both queries, superset-match, audit. The
@@ -454,7 +459,7 @@ impl EvalContext {
             exec_correct: outcome.exec_correct,
             linking: outcome.linking,
             subset: outcome.subset,
-            gold_ids: cell.gold.ids.all(),
+            gold_ids: cell.gold.query.ids.all(),
             pred_ids: outcome.pred_ids,
             measures,
             failure: outcome.failure,
@@ -483,7 +488,7 @@ pub fn evaluate_question(
     let cell = CellInput { db, workflow, pair, gold: &gold, seed, plan: CellPlan::clean(0) };
     let opts = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
     let (outcome, _) = ctx.evaluate(cell, &PlanCache::new(), opts);
-    ctx.record(cell, outcome, query_measures(db, view.variant, &gold.ids))
+    ctx.record(cell, outcome, query_measures(db, view.variant, &gold.query.ids))
 }
 
 /// One cell of the (database × variant × workflow × question) grid.
@@ -550,7 +555,7 @@ pub fn run_benchmark_on(
                 .map(|&variant| {
                     let ctx = EvalContext::new(db, SchemaView::new(db, variant));
                     let measures =
-                        golds.iter().map(|g| query_measures(db, variant, &g.ids)).collect();
+                        golds.iter().map(|g| query_measures(db, variant, &g.query.ids)).collect();
                     (ctx, measures)
                 })
                 .collect()

@@ -21,9 +21,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snails_data::{GoldPair, SnailsDatabase};
 use snails_sql::{
-    clause_profile, parse, rename_identifiers, Expr, FunctionArg, IdentifierMap, SelectItem,
-    Statement,
+    clause_profile, extract_identifiers, parse, rename_identifiers, Expr, FunctionArg,
+    IdentifierMap, QueryIdentifiers, SelectItem, Statement,
 };
+use std::borrow::Cow;
 
 /// The result of one simulated inference.
 #[derive(Debug, Clone)]
@@ -66,7 +67,29 @@ pub fn mix_seed(parts: &[&str], nums: &[u64]) -> u64 {
     h
 }
 
-/// Run one simulated inference.
+/// A gold query parsed once: the statement the simulated model starts
+/// from, and the identifiers it must link.
+#[derive(Debug, Clone)]
+pub struct GoldQuery {
+    /// The parsed gold statement.
+    pub statement: Statement,
+    /// Its identifiers (uppercased native names).
+    pub ids: QueryIdentifiers,
+}
+
+impl GoldQuery {
+    /// Parse a gold SQL statement. Panics on invalid SQL: gold queries are
+    /// fixtures.
+    pub fn parse(sql: &str) -> GoldQuery {
+        let statement = parse(sql).expect("gold queries are valid SQL");
+        let ids = extract_identifiers(&statement);
+        GoldQuery { statement, ids }
+    }
+}
+
+/// Run one simulated inference, parsing the gold query first. Callers that
+/// evaluate a question more than once parse it once and call
+/// [`infer_gold`].
 ///
 /// `global_seed` makes whole benchmark runs reproducible; per-inference
 /// randomness is derived from it plus the (model, database, variant,
@@ -76,6 +99,18 @@ pub fn infer(
     db: &SnailsDatabase,
     view: &SchemaView,
     pair: &GoldPair,
+    global_seed: u64,
+) -> Inference {
+    infer_gold(model, db, view, pair, &GoldQuery::parse(&pair.sql), global_seed)
+}
+
+/// [`infer`] from `pair`'s parsed gold query.
+pub fn infer_gold(
+    model: &ModelConfig,
+    db: &SnailsDatabase,
+    view: &SchemaView,
+    pair: &GoldPair,
+    gold: &GoldQuery,
     global_seed: u64,
 ) -> Inference {
     let seed = mix_seed(
@@ -101,28 +136,27 @@ pub fn infer(
         return inference;
     }
 
-    let gold = parse(&pair.sql).expect("gold queries are valid SQL");
-    let ids = snails_sql::extract_identifiers(&gold);
+    let ids = &gold.ids;
 
     // Link every required identifier.
     let mut rename = IdentifierMap::new();
     for table in &ids.tables {
         let (displayed, regular) = displayed_and_regular(db, view, table, true);
-        let outcome = link_identifier(model, view, &displayed, &regular, true, &mut rng);
+        let outcome = link_identifier(model, view, displayed, &regular, true, &mut rng);
         rename.insert(table, outcome.emitted());
         inference.links.push((table.clone(), outcome));
     }
     for column in &ids.columns {
         let (displayed, regular) = displayed_and_regular(db, view, column, false);
-        let outcome = link_identifier(model, view, &displayed, &regular, false, &mut rng);
+        let outcome = link_identifier(model, view, displayed, &regular, false, &mut rng);
         rename.insert(column, outcome.emitted());
         inference.links.push((column.clone(), outcome));
     }
 
-    let mut predicted = rename_identifiers(&gold, &rename);
+    let mut predicted = rename_identifiers(&gold.statement, &rename);
 
     // Structural correctness: skill decays with clause complexity.
-    let complexity = clause_profile(&gold).complexity() as f64;
+    let complexity = clause_profile(&gold.statement).complexity() as f64;
     let p_structure =
         (model.structure_skill * model.chain_factor).powf(0.5 + complexity / 8.0);
     if rng.gen::<f64>() >= p_structure {
@@ -131,7 +165,7 @@ pub fn infer(
 
     // Extra projected columns (ungrouped queries only).
     if rng.gen::<f64>() < model.extra_column_rate {
-        add_extra_column(&mut predicted, view, &ids, &mut rng);
+        add_extra_column(&mut predicted, view, ids, &mut rng);
     }
 
     inference.raw_sql = predicted.to_string();
@@ -139,23 +173,22 @@ pub fn infer(
 }
 
 /// The displayed and Regular renderings of a native identifier.
-fn displayed_and_regular(
-    db: &SnailsDatabase,
-    view: &SchemaView,
-    native: &str,
+fn displayed_and_regular<'a>(
+    db: &'a SnailsDatabase,
+    view: &'a SchemaView,
+    native: &'a str,
     is_table: bool,
-) -> (String, String) {
+) -> (&'a str, Cow<'a, str>) {
     let displayed = if is_table {
-        view.table_by_native(native).map(|t| t.displayed.clone())
+        view.table_by_native(native).map(|t| t.displayed.as_str())
     } else {
-        view.column_by_native(native).map(|c| c.displayed.clone())
+        view.column_by_native(native).map(|c| c.displayed.as_str())
     }
-    .unwrap_or_else(|| native.to_owned());
-    let regular = db
-        .crosswalk
-        .entry(native)
-        .map(|e| e.renderings[0].clone())
-        .unwrap_or_else(|| native.to_ascii_lowercase());
+    .unwrap_or(native);
+    let regular = match db.crosswalk.entry(native) {
+        Some(e) => Cow::Borrowed(e.renderings[0].as_str()),
+        None => Cow::Owned(native.to_ascii_lowercase()),
+    };
     (displayed, regular)
 }
 
@@ -286,7 +319,7 @@ fn mutate_select_literal(select: &mut snails_sql::SelectStatement) -> bool {
 fn add_extra_column(
     stmt: &mut Statement,
     view: &SchemaView,
-    gold_ids: &snails_sql::QueryIdentifiers,
+    gold_ids: &QueryIdentifiers,
     rng: &mut StdRng,
 ) {
     let select = match stmt {
@@ -403,10 +436,10 @@ mod tests {
             .expect("some fully-correct inference");
         // Its SQL must parse and reference displayed (Least) identifiers.
         let stmt = parse(&inf.raw_sql).expect("parseable");
-        let ids = snails_sql::extract_identifiers(&stmt);
+        let ids = extract_identifiers(&stmt);
         for t in &ids.tables {
             assert!(
-                view.tables.iter().any(|vt| vt.displayed.eq_ignore_ascii_case(t)),
+                view.tables().any(|vt| vt.displayed.eq_ignore_ascii_case(t)),
                 "table {t} not a displayed name"
             );
         }

@@ -20,8 +20,9 @@
 //! crates.
 //!
 //! Modules:
-//! * [`schema_view`] — the displayed schema at a naturalness variant, plus
-//!   zero-shot prompt rendering (appendix D.1);
+//! * [`schema_view`] — the displayed schema at a naturalness variant, with
+//!   the link index the linker reads, plus zero-shot prompt rendering
+//!   (appendix D.1);
 //! * [`model`] — the model zoo and per-model parameter sets;
 //! * [`linking`] — token decoding and identifier-linking simulation;
 //! * [`generate`] — end-to-end simulated inference;
@@ -43,7 +44,7 @@ pub mod views;
 pub mod workflows;
 
 pub use faults::{FailureKind, FaultKind, FaultProfile};
-pub use generate::{infer, Inference};
+pub use generate::{infer, GoldQuery, Inference};
 pub use model::{ModelConfig, ModelKind};
 pub use resilience::{
     run_cell, BreakerPolicy, CellExecution, CellOutcome, CellPlan, CircuitBreaker, Planner,
@@ -63,6 +64,7 @@ const _: () = {
     assert_shareable::<Workflow>();
     assert_shareable::<WorkflowResult>();
     assert_shareable::<Inference>();
+    assert_shareable::<GoldQuery>();
     assert_shareable::<FaultProfile>();
     assert_shareable::<CellPlan>();
     assert_shareable::<ResilienceConfig>();

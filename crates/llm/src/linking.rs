@@ -10,6 +10,12 @@
 //! gives the link-success probability. Failed links hallucinate a typo,
 //! guess a natural name, or select a plausible distractor — the three
 //! failure modes the paper reports.
+//!
+//! Token classes and distractor rankings depend only on the displayed
+//! schema, so the linker reads them from the view's link index
+//! ([`crate::schema_view`]), which computes each at most once per displayed
+//! name; only the model-dependent arithmetic runs per link.
+//! [`link_probability`] computes the same probability without the index.
 
 use crate::model::{ModelConfig, TokenClass};
 use crate::schema_view::SchemaView;
@@ -21,6 +27,7 @@ use snails_lexicon::abbrev::{
 use snails_lexicon::dictionary::{dictionary, is_dictionary_word, is_subsequence};
 use snails_lexicon::edit::levenshtein_ignore_case;
 use snails_lexicon::split_identifier;
+use snails_naturalness::category::SchemaVariant;
 
 /// Classify one identifier token.
 pub fn classify_token(token: &str) -> TokenClass {
@@ -59,6 +66,11 @@ pub fn classify_token(token: &str) -> TokenClass {
 /// abbreviated virtual-schema renderings at the same labeled level.
 pub const ORGANIC_EXPONENT: f64 = 0.62;
 
+/// The classes of an identifier's tokens, in token order.
+pub(crate) fn token_classes(identifier: &str) -> Vec<TokenClass> {
+    split_identifier(identifier).iter().map(|t| classify_token(&t.text)).collect()
+}
+
 /// The link-success probability for a displayed identifier: geometric mean
 /// of per-token decode probabilities, shrunk by schema-size distraction.
 ///
@@ -69,16 +81,36 @@ pub fn link_probability(
     schema_columns: usize,
     organic: bool,
 ) -> f64 {
-    let tokens = split_identifier(displayed);
-    if tokens.is_empty() {
+    class_probability(model, &token_classes(displayed), schema_columns, organic)
+}
+
+/// [`link_probability`] of a table (`is_table`) or column name as `view`
+/// displays it, with its token classes from the view's link index.
+pub(crate) fn view_link_probability(
+    model: &ModelConfig,
+    view: &SchemaView,
+    displayed: &str,
+    is_table: bool,
+) -> f64 {
+    let organic = view.variant == SchemaVariant::Native;
+    class_probability(model, &view.token_classes(displayed, is_table), view.column_count(), organic)
+}
+
+/// [`link_probability`] from an identifier's token classes.
+fn class_probability(
+    model: &ModelConfig,
+    classes: &[TokenClass],
+    schema_columns: usize,
+    organic: bool,
+) -> f64 {
+    if classes.is_empty() {
         return 0.0;
     }
     let mut log_sum = 0.0;
-    for t in &tokens {
-        let p = model.decode_prob(classify_token(&t.text));
-        log_sum += p.max(1e-6).ln();
+    for &class in classes {
+        log_sum += model.decode_prob(class).max(1e-6).ln();
     }
-    let mut geo_mean = (log_sum / tokens.len() as f64).exp();
+    let mut geo_mean = (log_sum / classes.len() as f64).exp();
     if organic {
         geo_mean = geo_mean.powf(ORGANIC_EXPONENT);
     }
@@ -176,23 +208,18 @@ const DISTRACTOR_POOL: usize = 5;
 /// Candidates for distractor selection: displayed identifiers of the same
 /// kind, excluding the correct one. Edit distance decides (plausible
 /// confusion, not random noise): one of the [`DISTRACTOR_POOL`] nearest
-/// is drawn uniformly.
+/// ([`SchemaView::distractors`]) is drawn uniformly.
 fn pick_distractor(
     view: &SchemaView,
     displayed: &str,
     is_table: bool,
     rng: &mut StdRng,
 ) -> Option<String> {
-    let nearest = if is_table {
-        nearest_names(view.tables.iter().map(|t| t.displayed.as_str()), displayed)
-    } else {
-        let columns = view.tables.iter().flat_map(|t| &t.columns);
-        nearest_names(columns.map(|c| c.displayed.as_str()), displayed)
-    };
-    if nearest.is_empty() {
+    let pool = view.distractors(displayed, is_table);
+    if pool.is_empty() {
         return None;
     }
-    Some(nearest[rng.gen_range(0..nearest.len())].1.to_owned())
+    Some(pool[rng.gen_range(0..pool.len())].clone())
 }
 
 /// The up to [`DISTRACTOR_POOL`] distinct `names` nearest to `displayed`
@@ -203,7 +230,7 @@ fn pick_distractor(
 /// a name whose length difference alone (a lower bound on the distance)
 /// exceeds the current last distance is skipped unmeasured. An equal
 /// bound is still measured, since a tie with a smaller name enters.
-fn nearest_names<'a>(
+pub(crate) fn nearest_names<'a>(
     names: impl Iterator<Item = &'a str>,
     displayed: &str,
 ) -> Vec<(usize, &'a str)> {
@@ -242,8 +269,7 @@ pub fn link_identifier(
     is_table: bool,
     rng: &mut StdRng,
 ) -> LinkOutcome {
-    let organic = view.variant == snails_naturalness::category::SchemaVariant::Native;
-    let p = link_probability(model, displayed, view.column_count(), organic);
+    let p = view_link_probability(model, view, displayed, is_table);
     if rng.gen::<f64>() < p {
         return LinkOutcome::Correct(displayed.to_owned());
     }
@@ -268,9 +294,9 @@ pub fn link_identifier(
 mod tests {
     use super::*;
     use crate::model::ModelKind;
+    use crate::workflows::Workflow;
     use rand::SeedableRng;
     use snails_data::build_database;
-    use snails_naturalness::category::SchemaVariant;
 
     #[test]
     fn token_classes() {
@@ -329,7 +355,7 @@ mod tests {
         let db = build_database("CWO");
         let view = SchemaView::new(&db, SchemaVariant::Least);
         let model = ModelKind::PhindCodeLlama.config();
-        let table = &view.tables[2];
+        let table = view.tables().nth(2).expect("a third table");
         let mut correct = 0;
         let mut halluc = 0;
         let mut guess = 0;
@@ -362,8 +388,7 @@ mod tests {
         let model = ModelKind::Gpt35.config();
         // Find a displayed column equal to its own regular rendering.
         let col = view
-            .tables
-            .iter()
+            .tables()
             .flat_map(|t| &t.columns)
             .find(|c| {
                 db.crosswalk
@@ -392,14 +417,12 @@ mod tests {
     /// nearest first.
     fn ranked_by_sort<'a>(view: &'a SchemaView, displayed: &str, is_table: bool) -> Vec<&'a str> {
         let mut candidates: Vec<&str> = if is_table {
-            view.tables
-                .iter()
+            view.tables()
                 .map(|t| t.displayed.as_str())
                 .filter(|d| !d.eq_ignore_ascii_case(displayed))
                 .collect()
         } else {
-            view.tables
-                .iter()
+            view.tables()
                 .flat_map(|t| &t.columns)
                 .map(|c| c.displayed.as_str())
                 .filter(|d| !d.eq_ignore_ascii_case(displayed))
@@ -422,39 +445,57 @@ mod tests {
 
     /// Every displayed table (`true`) and column (`false`) of `view`.
     fn identifiers(view: &SchemaView) -> Vec<(String, bool)> {
-        let tables = view.tables.iter().map(|t| (t.displayed.clone(), true));
+        let tables = view.tables().map(|t| (t.displayed.clone(), true));
         let columns = view
-            .tables
-            .iter()
+            .tables()
             .flat_map(|t| &t.columns)
             .map(|c| (c.displayed.clone(), false));
         tables.chain(columns).collect()
     }
 
+    /// [`identifiers`] of a view of database `name`; for NTSB and SBOD a
+    /// seeded sample of 300 of them.
+    fn sampled_identifiers(name: &str, view: &SchemaView) -> Vec<(String, bool)> {
+        let mut ids = identifiers(view);
+        if matches!(name, "NTSB" | "SBOD") {
+            let mut rng = StdRng::seed_from_u64(ids.len() as u64);
+            for i in 0..300 {
+                let j = rng.gen_range(i..ids.len());
+                ids.swap(i, j);
+            }
+            ids.truncate(300);
+        }
+        ids
+    }
+
     /// Both selections on each identifier under three seeds: the same
     /// pick, and the rng left in the same state (one further draw agrees).
-    /// Returns how many picks found a distractor.
+    /// The identifiers are picked twice, so on a full view the second pass
+    /// reads the pools the first one filled. Returns how many picks found
+    /// a distractor.
     fn assert_same_picks(view: &SchemaView, ids: &[(String, bool)]) -> usize {
         let mut found = 0;
-        for (displayed, is_table) in ids {
-            let ranked = ranked_by_sort(view, displayed, *is_table);
-            for seed in [1, 7, 90210] {
-                let mut fast = StdRng::seed_from_u64(seed);
-                let mut reference = fast.clone();
-                let pick = pick_distractor(view, displayed, *is_table, &mut fast);
-                assert_eq!(
-                    pick,
-                    pick_by_sort(&ranked, &mut reference),
-                    "{} {:?} {displayed:?} seed {seed}",
-                    view.database,
-                    view.variant
-                );
-                assert_eq!(
-                    fast.gen::<u64>(),
-                    reference.gen::<u64>(),
-                    "rng state after {displayed:?}"
-                );
-                found += usize::from(pick.is_some());
+        for pass in ["cold", "filled"] {
+            for (displayed, is_table) in ids {
+                let ranked = ranked_by_sort(view, displayed, *is_table);
+                for seed in [1, 7, 90210] {
+                    let mut fast = StdRng::seed_from_u64(seed);
+                    let mut reference = fast.clone();
+                    let pick = pick_distractor(view, displayed, *is_table, &mut fast);
+                    assert_eq!(
+                        pick,
+                        pick_by_sort(&ranked, &mut reference),
+                        "{} {:?} {displayed:?} seed {seed} ({pass})",
+                        view.database,
+                        view.variant
+                    );
+                    assert_eq!(
+                        fast.gen::<u64>(),
+                        reference.gen::<u64>(),
+                        "rng state after {displayed:?} ({pass})"
+                    );
+                    found += usize::from(pick.is_some());
+                }
             }
         }
         found
@@ -467,34 +508,102 @@ mod tests {
             let db = build_database(name);
             for variant in SchemaVariant::ALL {
                 let view = SchemaView::new(&db, variant);
-                let mut ids = identifiers(&view);
-                if matches!(name, "NTSB" | "SBOD") {
-                    // A seeded sample of 300 identifiers per variant.
-                    let mut rng = StdRng::seed_from_u64(ids.len() as u64);
-                    for i in 0..300 {
-                        let j = rng.gen_range(i..ids.len());
-                        ids.swap(i, j);
-                    }
-                    ids.truncate(300);
-                }
+                let ids = sampled_identifiers(name, &view);
                 picks += assert_same_picks(&view, &ids);
+                // One pool per distinct name picked, each filled once.
+                let pools = view.filled().expect("the index was built").1;
+                assert!(pools > 0 && pools <= view.distinct_names(), "{name} {variant:?}: {pools}");
             }
         }
-        // A subsetted view, asked for identifiers inside and outside it.
+        // A subsetted view, asked for identifiers inside and outside it: it
+        // ranks by scanning its own tables and fills no pool.
         let db = build_database("CWO");
         let view = SchemaView::new(&db, SchemaVariant::Least);
-        let kept: Vec<String> = view
-            .tables
-            .iter()
-            .take(2)
-            .map(|t| t.displayed.clone())
-            .collect();
+        let kept: Vec<String> = view.tables().take(2).map(|t| t.displayed.clone()).collect();
         picks += assert_same_picks(&view.restricted_to(&kept), &identifiers(&view));
         let single = view.restricted_to(&kept[..1]);
         assert_eq!(
             pick_distractor(&single, &kept[0], true, &mut StdRng::seed_from_u64(1)),
             None
         );
+        assert_eq!(view.filled(), Some((0, 0)), "a restricted view filled its parent's slots");
         assert!(picks > 0, "no pick found a distractor");
+    }
+
+    /// The model configurations the grid links with: the five zero-shot
+    /// models and the DIN-SQL and CodeS generators.
+    fn grid_models() -> Vec<ModelConfig> {
+        let chained = [Workflow::DinSql, Workflow::CodeS].map(|w| w.model_config());
+        ModelKind::ALL.iter().map(|m| m.config()).chain(chained).collect()
+    }
+
+    /// Each identifier's indexed probability, read twice under every model
+    /// (the first read of a displayed name fills its slot), equals
+    /// [`link_probability`] bit for bit. Returns how many probabilities
+    /// were compared.
+    fn assert_indexed_probabilities(
+        view: &SchemaView,
+        ids: &[(String, bool)],
+        models: &[ModelConfig],
+    ) -> usize {
+        let organic = view.variant == SchemaVariant::Native;
+        let mut compared = 0;
+        for (displayed, is_table) in ids {
+            for model in models {
+                let reference = link_probability(model, displayed, view.column_count(), organic);
+                for read in ["first", "second"] {
+                    let indexed = view_link_probability(model, view, displayed, *is_table);
+                    assert_eq!(
+                        indexed.to_bits(),
+                        reference.to_bits(),
+                        "{} {:?} {displayed:?} {} ({read} read): {indexed} vs {reference}",
+                        view.database,
+                        view.variant,
+                        model.name
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn indexed_link_probabilities_equal_link_probability() {
+        let models = grid_models();
+        let mut compared = 0;
+        for name in snails_data::DATABASE_NAMES {
+            let db = build_database(name);
+            for variant in SchemaVariant::ALL {
+                let view = SchemaView::new(&db, variant);
+                assert_eq!(view.filled(), None, "{name} {variant:?}: a new view built its index");
+                let ids = sampled_identifiers(name, &view);
+                compared += assert_indexed_probabilities(&view, &ids, &models);
+                let (classes, pools) = view.filled().expect("the index was built");
+                assert!(classes > 0 && classes <= view.distinct_names(), "{name} {variant:?}");
+                assert_eq!(pools, 0, "{name} {variant:?}: a probability filled a pool");
+
+                // A restricted view of a fresh full view: it reads (and
+                // fills) its parent's classes, at its own column count.
+                let fresh = SchemaView::new(&db, variant);
+                let kept: Vec<String> =
+                    fresh.tables().step_by(2).map(|t| t.displayed.clone()).collect();
+                let restricted = fresh.restricted_to(&kept);
+                assert!(restricted.column_count() < view.column_count());
+                compared += assert_indexed_probabilities(&restricted, &ids, &models);
+                assert_eq!(fresh.filled(), Some((classes, 0)), "{name} {variant:?}");
+
+                // A name the view does not display is classified on the
+                // spot and never cached.
+                let unseen = [("zz_not_shown_Qty9".to_owned(), false)];
+                compared += assert_indexed_probabilities(&view, &unseen, &models);
+                assert_eq!(
+                    view.filled(),
+                    Some((classes, 0)),
+                    "{name} {variant:?}: cached an unseen name"
+                );
+            }
+        }
+        assert!(compared > 0, "no probability compared");
     }
 }

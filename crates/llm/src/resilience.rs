@@ -23,9 +23,9 @@
 //! inputs)`, the combined output is independent of worker interleaving.
 
 use crate::faults::{self, FailureKind, FaultKind, FaultProfile};
-use crate::generate::mix_seed;
+use crate::generate::{mix_seed, GoldQuery};
 use crate::schema_view::SchemaView;
-use crate::workflows::{run_workflow, Workflow, WorkflowResult};
+use crate::workflows::{run_workflow_gold, Workflow, WorkflowResult};
 use snails_data::{GoldPair, SnailsDatabase};
 use snails_obs::Metric as Obs;
 use std::collections::BTreeMap;
@@ -368,8 +368,8 @@ pub enum CellExecution {
 }
 
 /// Execute one planned cell: the resilience middleware around
-/// [`run_workflow`]. Pure function of `(plan, cell inputs)` — safe to call
-/// from any worker in any order.
+/// [`run_workflow_gold`], on `pair`'s parsed gold query. Pure function of
+/// `(plan, cell inputs)` — safe to call from any worker in any order.
 ///
 /// A [`CellOutcome::Panic`] plan genuinely panics (with the
 /// [`faults::InjectedPanic`] marker) so the scheduler's per-cell isolation
@@ -380,6 +380,7 @@ pub fn run_cell(
     db: &SnailsDatabase,
     view: &SchemaView,
     pair: &GoldPair,
+    gold: &GoldQuery,
     global_seed: u64,
 ) -> CellExecution {
     match plan.outcome {
@@ -387,7 +388,7 @@ pub fn run_cell(
         CellOutcome::Exhausted(kind) => CellExecution::Failed(kind),
         CellOutcome::Panic => faults::injected_panic(),
         CellOutcome::Proceed { corruption } => {
-            let mut result = run_workflow(workflow, db, view, pair, global_seed);
+            let mut result = run_workflow_gold(workflow, db, view, pair, gold, global_seed);
             if let Some(kind) = corruption {
                 result.inference.raw_sql =
                     faults::corrupt_completion(kind, &result.inference.raw_sql, plan.seed);

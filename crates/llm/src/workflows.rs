@@ -12,8 +12,8 @@
 //!   finetuned generator; the filter is the most naturalness-sensitive
 //!   component (Figure 12).
 
-use crate::generate::{infer, mix_seed, Inference};
-use crate::linking::link_probability;
+use crate::generate::{infer_gold, mix_seed, GoldQuery, Inference};
+use crate::linking::view_link_probability;
 use crate::model::{ModelConfig, ModelKind};
 use crate::schema_view::SchemaView;
 use rand::rngs::StdRng;
@@ -149,20 +149,18 @@ fn subset_schema(
 ) -> SubsetOutcome {
     let (base, sensitivity, fp_rate) = params;
     let mut kept = BTreeSet::new();
-    let columns = view.column_count();
-    let organic = view.variant == snails_naturalness::category::SchemaVariant::Native;
-    for t in &view.tables {
+    for t in view.tables() {
         let native_upper = t.native.to_ascii_uppercase();
         if gold_tables.contains(&native_upper) {
             // Retrieval confidence blends the table name's decodability with
             // its columns' (the filter reads both).
-            let name_p = link_probability(model, &t.displayed, columns, organic);
+            let name_p = view_link_probability(model, view, &t.displayed, true);
             let col_p = if t.columns.is_empty() {
                 name_p
             } else {
                 t.columns
                     .iter()
-                    .map(|c| link_probability(model, &c.displayed, columns, organic))
+                    .map(|c| view_link_probability(model, view, &c.displayed, false))
                     .sum::<f64>()
                     / t.columns.len() as f64
             };
@@ -178,7 +176,8 @@ fn subset_schema(
     SubsetOutcome { kept, gold: gold_tables.clone() }
 }
 
-/// Run one workflow on one question.
+/// Run one workflow on one question, parsing the gold query first.
+/// [`crate::run_cell`] takes the gold query already parsed.
 pub fn run_workflow(
     workflow: Workflow,
     db: &SnailsDatabase,
@@ -186,32 +185,40 @@ pub fn run_workflow(
     pair: &GoldPair,
     global_seed: u64,
 ) -> WorkflowResult {
+    run_workflow_gold(workflow, db, view, pair, &GoldQuery::parse(&pair.sql), global_seed)
+}
+
+/// [`run_workflow`] from `pair`'s parsed gold query.
+pub(crate) fn run_workflow_gold(
+    workflow: Workflow,
+    db: &SnailsDatabase,
+    view: &SchemaView,
+    pair: &GoldPair,
+    gold: &GoldQuery,
+    global_seed: u64,
+) -> WorkflowResult {
     let model = workflow.model_config();
     match workflow.subset_params() {
         None => WorkflowResult {
             workflow: workflow.display_name(),
-            inference: infer(&model, db, view, pair, global_seed),
+            inference: infer_gold(&model, db, view, pair, gold, global_seed),
             subset: None,
         },
         Some(params) => {
-            let gold = snails_sql::extract_identifiers(
-                &snails_sql::parse(&pair.sql).expect("gold parses"),
-            );
             let seed = mix_seed(
                 &[workflow.display_name(), db.spec.name, "subset"],
                 &[global_seed, pair.id as u64],
             );
             let mut rng = StdRng::seed_from_u64(seed);
-            let subset = subset_schema(params, &model, view, &gold.tables, &mut rng);
+            let subset = subset_schema(params, &model, view, &gold.ids.tables, &mut rng);
             // Restrict the generator's view to the kept tables.
             let kept_displayed: Vec<String> = view
-                .tables
-                .iter()
+                .tables()
                 .filter(|t| subset.kept.contains(&t.native.to_ascii_uppercase()))
                 .map(|t| t.displayed.clone())
                 .collect();
             let restricted = view.restricted_to(&kept_displayed);
-            let inference = infer(&model, db, &restricted, pair, global_seed);
+            let inference = infer_gold(&model, db, &restricted, pair, gold, global_seed);
             WorkflowResult {
                 workflow: workflow.display_name(),
                 inference,

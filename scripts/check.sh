@@ -36,6 +36,21 @@ echo "==> perfbench: build and self-test the frozen benchmark (offline)"
 # it uses. Same target directory as perfbench/run.py.
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench grid (one pass at the held-out seed against the frozen reference digest)"
+# One full grid pass (12,072 cells) at seed 90210 must reproduce the manifest
+# digest frozen in perfbench, and 384 of its cells must match their
+# re-derivation through the AST interpreter. The last stdout line is the
+# JSON result; perfbench counts a mismatched pass or cell there as failed.
+grid_result=$(python3 perfbench/run.py --workload grid --seed 90210 --seconds 1 --trace 0 | tail -n 1)
+python3 - "$grid_result" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+assert result["correct"] is True and result["failed"] == 0, (
+    f"perfbench grid at seed 90210 is not correct: {sys.argv[1]}")
+print(f"    {result['attempted']} cells, 0 failed: reference digest and "
+      "interpreter re-derivations match")
+PY
+
 echo "==> snails bench --telemetry (smoke: deterministic report, full key coverage)"
 # Telemetry smoke: the report must parse, the deterministic section must
 # be byte-identical across thread counts (the bench exits non-zero

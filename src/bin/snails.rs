@@ -20,7 +20,9 @@
 //!                                        # load suite (or drive a socket)
 //! ```
 
-use snails::engine::{compile, EngineError, ExecOptions};
+use snails::core::pipeline::{gold_context, CellInput, EvalContext};
+use snails::engine::{compile, EngineError, ExecOptions, PlanCache};
+use snails::llm::CellPlan;
 use snails::naturalness::{Classifier, Naturalness, NaturalnessProfile};
 use snails::prelude::*;
 use snails_bench::{grid_config, BenchOptions};
@@ -344,16 +346,28 @@ fn ask(args: &[String]) {
         eprintln!("{name} has no question {qid} (1..={})", db.questions.len());
         std::process::exit(2);
     };
-    let view = SchemaView::new(&db, SchemaVariant::Native);
-    let record = evaluate_question(Workflow::ZeroShot(model), &db, &view, pair, 2024);
+    // One cell of the grid's evaluator, under the budgets the grid gives
+    // model output. Nothing printed needs the naturalness measures, so
+    // none are computed.
+    let ctx = EvalContext::new(&db, SchemaView::new(&db, SchemaVariant::Native));
+    let gold = gold_context(&db, pair);
+    let cell = CellInput {
+        db: &db,
+        workflow: Workflow::ZeroShot(model),
+        pair,
+        gold: &gold,
+        seed: 2024,
+        plan: CellPlan::clean(0),
+    };
+    let opts = ExecOptions { limits: ExecLimits::guarded(), ..Default::default() };
+    let (outcome, _) = ctx.evaluate(cell, &PlanCache::new(), opts);
     println!("Q:    {}", pair.question);
     println!("gold: {}", pair.sql);
-    let inference = infer(&model.config(), &db, &view, pair, 2024);
-    println!("pred: {}", inference.raw_sql);
+    println!("pred: {}", outcome.raw_sql.as_deref().unwrap_or_default());
     println!(
         "exec: {} | linking recall {}",
-        if record.exec_correct { "correct" } else { "incorrect" },
-        record
+        if outcome.exec_correct { "correct" } else { "incorrect" },
+        outcome
             .linking
             .map(|l| format!("{:.2}", l.recall))
             .unwrap_or_else(|| "n/a".into())

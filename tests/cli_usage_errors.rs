@@ -3,7 +3,8 @@
 //! panicking (exit 101) while building a database. The `experiments`
 //! binary likewise exits 2 on a malformed command line, and on `--write`
 //! with a partial report (one section, `--quick`, or one shard), before it
-//! runs anything or writes EXPERIMENTS.md.
+//! runs anything or writes EXPERIMENTS.md. `snails ask`'s output for a
+//! valid question is pinned too.
 
 use std::process::{Command, Output};
 
@@ -50,6 +51,35 @@ fn unknown_databases_are_usage_errors() {
 #[test]
 fn a_non_numeric_question_id_is_a_usage_error() {
     assert_usage_error(&["ask", "CWO", "abc"], false);
+}
+
+/// `snails ask` prints the question, the gold SQL, the model's completion
+/// and the cell's verdict. NTSB question 5 under Phind shows failed links:
+/// a distractor table and an extra projected column.
+#[test]
+fn ask_prints_the_question_gold_prediction_and_verdict() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["ask", "CWO", "1"],
+            "Q:    List the species name of every species whose species category is 'mammal'.\n\
+             gold: SELECT species_nm FROM species WHERE species_category = 'mammal'\n\
+             pred: SELECT species_nm FROM species WHERE species_category = 'mammal'\n\
+             exec: correct | linking recall 1.00\n",
+        ),
+        (
+            &["ask", "NTSB", "5", "phind"],
+            "Q:    List the model name of every vehicle model whose model category is 'truck'.\n\
+             gold: SELECT MODELNAME FROM VHMD WHERE MODELCAT = 'truck'\n\
+             pred: SELECT MODELNAME, MDSC FROM CRDT WHERE MODELNAME = 'truck'\n\
+             exec: incorrect | linking recall 0.33\n",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = snails(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+    }
 }
 
 #[test]
