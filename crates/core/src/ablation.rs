@@ -20,7 +20,7 @@ use snails_eval::query_linking;
 use snails_llm::generate::infer_gold;
 use snails_llm::{ModelConfig, ModelKind, SchemaView};
 use snails_naturalness::category::SchemaVariant;
-use snails_sql::{extract_identifiers, parse};
+use snails_sql::extract_identifiers;
 
 /// One ablation: a name and a transform applied to the base model config.
 pub struct Ablation {
@@ -116,11 +116,8 @@ pub fn run_ablation(config: &ModelConfig, db: &SnailsDatabase, seed: u64) -> Abl
         let mut n = 0usize;
         for (pair, gold) in db.questions.iter().zip(&golds) {
             let inference = infer_gold(config, db, &ctx.view, pair, &gold.query, seed);
-            let Ok(native_sql) = snails_sql::denaturalize_query(&inference.raw_sql, &ctx.denat)
-            else {
-                continue;
-            };
-            let pred = extract_identifiers(&parse(&native_sql).expect("denat parses"));
+            let Ok(pred) = ctx.denaturalize(&inference.raw_sql) else { continue };
+            let pred = extract_identifiers(&pred);
             let scores = query_linking(&gold.query.ids, &pred);
             sum += scores.recall;
             n += 1;

@@ -9,13 +9,14 @@
 //!   [`QueryRecord`](crate::pipeline::QueryRecord) is written atomically
 //!   (temp file + rename) under a content-addressed key derived from the
 //!   run's [grid fingerprint](grid_fingerprint) and the cell's grid index,
-//!   with an FNV-1a checksum over the whole payload and an advisory journal.
-//!   A process killed mid-write leaves only ignorable `.tmp` debris; the
-//!   directory of completed renames is the source of truth.
-//! * **Resume** — on restart, verified records load instead of
-//!   re-executing; anything that fails validation (truncated file, flipped
-//!   bit, foreign fingerprint) is quarantined and transparently recomputed.
-//!   Corruption never aborts a run and is never silently accepted.
+//!   with an FNV-1a checksum over the whole payload. A process killed
+//!   mid-write leaves only ignorable `.tmp` debris; the directory of
+//!   completed renames is the source of truth.
+//! * **Resume** — on restart, each cell asks the store first: a verified
+//!   record loads instead of re-executing; anything that fails validation
+//!   (truncated file, flipped bit, foreign fingerprint, older format) is
+//!   quarantined and transparently recomputed. Corruption never aborts a
+//!   run and is never silently accepted.
 //! * **Sharding** ([`Shard`]) — `--shard i/n` deterministically partitions
 //!   the grid by `index % n == i`, so independent processes each produce a
 //!   shard manifest.
@@ -42,7 +43,6 @@ use snails_obs::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -606,18 +606,15 @@ pub struct CheckpointStats {
 /// Outcome of loading one cell from the store.
 ///
 /// `Hit` dwarfs the unit variants because it carries the whole restored
-/// record inline; loads happen one at a time in the serial restore pass,
-/// so the size difference never multiplies across a collection.
+/// record inline; each load is consumed by the cell that asked for it, so
+/// the size difference never multiplies across a collection.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum CellLoad {
-    /// Verified record (with the executed SQL for cache warming and the
-    /// telemetry delta, when stored).
+    /// Verified record (with its telemetry delta, when stored).
     Hit {
         /// The restored record.
         record: QueryRecord,
-        /// Denaturalized SQL the cell executed, if it reached execution.
-        exec_sql: Option<String>,
         /// Stored deterministic telemetry delta.
         delta: Option<CellDelta>,
     },
@@ -628,30 +625,35 @@ pub enum CellLoad {
     Corrupt,
 }
 
-/// The content-addressed on-disk cell store.
+/// The content-addressed on-disk cell store. Safe to share between worker
+/// threads: each cell reads and writes only its own file, and the
+/// accounting counters are atomic.
 pub struct CellStore {
     dir: PathBuf,
     fingerprint: u64,
-    journal: Mutex<std::fs::File>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    corrupt: AtomicU64,
     writes: AtomicU64,
     kill_after: Option<u64>,
 }
 
-const CELL_HEADER: &str = "snails-ckpt v1";
+/// First line of every cell file. Bump it whenever the layout changes: a
+/// file in another layout then fails validation and its cell is
+/// recomputed instead of being misparsed.
+const CELL_HEADER: &str = "snails-ckpt v2";
 
 impl CellStore {
     /// Open (creating as needed) the store at `spec.dir` for the grid with
     /// the given fingerprint.
     pub fn open(spec: &CheckpointSpec, fingerprint: u64) -> std::io::Result<CellStore> {
         std::fs::create_dir_all(spec.dir.join("cells"))?;
-        let journal = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(spec.dir.join("journal.log"))?;
         Ok(CellStore {
             dir: spec.dir.clone(),
             fingerprint,
-            journal: Mutex::new(journal),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            corrupt: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             kill_after: spec.kill_after_writes,
         })
@@ -668,9 +670,15 @@ impl CellStore {
             .join(format!("c{index:05}-{:016x}.rec", self.cell_key(index)))
     }
 
-    /// Records written so far by this process.
-    pub fn written(&self) -> u64 {
-        self.writes.load(Ordering::Relaxed)
+    /// Loads and writes so far by this process.
+    pub fn stats(&self) -> CheckpointStats {
+        let n = |count: &AtomicU64| count.load(Ordering::Relaxed);
+        CheckpointStats {
+            hits: n(&self.hits),
+            misses: n(&self.misses),
+            corrupt: n(&self.corrupt),
+            written: n(&self.writes),
+        }
     }
 
     /// Move a failed-validation file into `quarantine/` (best effort — a
@@ -684,27 +692,32 @@ impl CellStore {
         }
     }
 
-    /// Load and verify cell `index`. `need_telemetry` demands a stored
+    /// Load and verify cell `index`, counting the outcome in [`Self::stats`]
+    /// and the `checkpoint.*` metrics. `need_telemetry` demands a stored
     /// telemetry delta (a record without one is a [`CellLoad::Miss`] for a
     /// telemetry run — valid, just insufficient — and is left in place).
     pub fn load(&self, index: usize, need_telemetry: bool) -> CellLoad {
         let path = self.cell_path(index);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return CellLoad::Miss,
-            Err(_) => {
+        let load = match std::fs::read(&path) {
+            Ok(bytes) => match self.parse_cell(index, &bytes, need_telemetry) {
+                Ok(Some(hit)) => hit,
+                Ok(None) => CellLoad::Miss,
+                Err(_) => CellLoad::Corrupt,
+            },
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => CellLoad::Miss,
+            Err(_) => CellLoad::Corrupt,
+        };
+        let (count, metric) = match load {
+            CellLoad::Hit { .. } => (&self.hits, Metric::CkptHit),
+            CellLoad::Miss => (&self.misses, Metric::CkptMiss),
+            CellLoad::Corrupt => {
                 self.quarantine(&path);
-                return CellLoad::Corrupt;
+                (&self.corrupt, Metric::CkptCorrupt)
             }
         };
-        match self.parse_cell(index, &bytes, need_telemetry) {
-            Ok(Some(hit)) => hit,
-            Ok(None) => CellLoad::Miss,
-            Err(_) => {
-                self.quarantine(&path);
-                CellLoad::Corrupt
-            }
-        }
+        count.fetch_add(1, Ordering::Relaxed);
+        snails_obs::add(metric, 1);
+        load
     }
 
     /// Validate + parse one cell payload. `Ok(None)` = valid but lacking
@@ -758,11 +771,6 @@ impl CellStore {
         let record = record_from_line(
             rec_line.strip_prefix("rec ").ok_or("missing record")?,
         )?;
-        let sql_line = lines.next().ok_or("missing sql")?;
-        let exec_sql = match sql_line.strip_prefix("sql ").ok_or("missing sql")? {
-            "-" => None,
-            tok => Some(unescape(tok)?),
-        };
         let delta = match lines.next() {
             None => None,
             Some(tel_line) => {
@@ -785,19 +793,18 @@ impl CellStore {
         if need_telemetry && delta.is_none() {
             return Ok(None);
         }
-        Ok(Some(CellLoad::Hit { record, exec_sql, delta }))
+        Ok(Some(CellLoad::Hit { record, delta }))
     }
 
     /// Atomically persist cell `index`: serialize, write to a temp file,
-    /// rename into place, journal the completion. When the crash-injection
-    /// hook is armed, aborts the process (no unwinding) once the write
-    /// quota is reached — after the rename, so the store is left exactly as
-    /// a SIGKILL at that instant would leave it.
+    /// rename into place, count the write (`checkpoint.written`). When the
+    /// crash-injection hook is armed, aborts the process (no unwinding) once
+    /// the write quota is reached — after the rename, so the store is left
+    /// exactly as a SIGKILL at that instant would leave it.
     pub fn store(
         &self,
         index: usize,
         record: &QueryRecord,
-        exec_sql: Option<&str>,
         delta: Option<&CellDelta>,
     ) -> std::io::Result<()> {
         let mut body = String::new();
@@ -805,14 +812,6 @@ impl CellStore {
         let _ = writeln!(body, "fp {:016x}", self.fingerprint);
         let _ = writeln!(body, "cell {index}");
         let _ = writeln!(body, "rec {}", record_to_line(record));
-        match exec_sql {
-            Some(sql) => {
-                let _ = writeln!(body, "sql {}", escape(sql));
-            }
-            None => {
-                let _ = writeln!(body, "sql -");
-            }
-        }
         if let Some(delta) = delta {
             let _ = writeln!(body, "tel {}", delta.line_count());
             delta.write_lines(&mut body);
@@ -823,10 +822,7 @@ impl CellStore {
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, payload.as_bytes())?;
         std::fs::rename(&tmp, &path)?;
-        {
-            let mut journal = self.journal.lock().expect("journal poisoned");
-            let _ = writeln!(journal, "c{index} {:016x}", self.cell_key(index));
-        }
+        snails_obs::add(Metric::CkptWritten, 1);
         let written = self.writes.fetch_add(1, Ordering::Relaxed) + 1;
         if self.kill_after.is_some_and(|k| written >= k) {
             // The injected crash: terminate with no unwinding and no

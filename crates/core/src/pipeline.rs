@@ -7,7 +7,7 @@ use crate::measures::{query_measures, QueryMeasures};
 use crate::scheduler;
 use snails_data::SnailsDatabase;
 use snails_engine::{ExecLimits, ExecOptions, PlanCache};
-use snails_eval::{audit_semantics, match_result_sets, query_linking, LinkingScores};
+use snails_eval::{audit_statements, match_result_sets, query_linking, LinkingScores};
 
 use snails_llm::faults::{self, FailureKind, FaultProfile};
 use snails_llm::generate::mix_seed;
@@ -15,7 +15,7 @@ use snails_llm::resilience::{CellExecution, CellPlan, Planner, ResilienceConfig}
 use snails_llm::{run_cell, GoldQuery, SchemaView, Workflow};
 use snails_naturalness::category::SchemaVariant;
 use snails_obs::{ClockMode, Metric, ObsCtx, Report};
-use snails_sql::{extract_identifiers, parse};
+use snails_sql::{extract_identifiers, parse, rename_identifiers, ParseError, Statement};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -354,12 +354,16 @@ impl EvalContext {
         EvalContext { view, denat }
     }
 
+    /// Parse a completion and rename its identifiers back to the native
+    /// namespace: the statement the cell links, executes and audits.
+    pub(crate) fn denaturalize(&self, raw_sql: &str) -> Result<Statement, ParseError> {
+        parse(raw_sql).map(|stmt| rename_identifiers(&stmt, &self.denat))
+    }
+
     /// Evaluate one cell: infer, denaturalize, link, then run the predicted
     /// SQL through `plans` under `opts` and match it against the gold
     /// result. Returns the outcome plus the denaturalized SQL when the cell
-    /// reached the execution stage: the checkpoint layer persists that SQL
-    /// so a resumed run can re-warm the plan cache without re-running the
-    /// cell, and a serve tenant answers it.
+    /// reached the execution stage, which a serve tenant answers.
     pub fn evaluate(
         &self,
         cell: CellInput<'_>,
@@ -384,10 +388,15 @@ impl EvalContext {
             }
         };
 
-        // Denaturalize the raw output back to the Native namespace.
+        // Denaturalize the raw output back to the Native namespace, keeping
+        // the statement for linking and the audit and its rendering for
+        // execution.
         let denat_result = {
             let _s = snails_obs::span("cell.denaturalize");
-            snails_sql::denaturalize_query(&result.inference.raw_sql, &self.denat)
+            self.denaturalize(&result.inference.raw_sql).map(|stmt| {
+                let sql = stmt.to_string();
+                (stmt, sql)
+            })
         };
         let mut outcome = Outcome {
             raw_sql: Some(result.inference.raw_sql),
@@ -402,19 +411,19 @@ impl EvalContext {
             pred_ids: BTreeSet::new(),
             failure,
         };
-        let Ok(native_sql) = denat_result else {
+        let Ok((pred_stmt, native_sql)) = denat_result else {
             return (outcome, None); // unparseable output: excluded from linking analysis
         };
         outcome.parse_ok = true;
 
         // Schema linking (on the denaturalized query, appendix E.4).
-        {
+        let pred_qi = {
             let _s = snails_obs::span("cell.link");
-            let pred_stmt = parse(&native_sql).expect("denaturalization preserves parseability");
             let pred_qi = extract_identifiers(&pred_stmt);
             outcome.pred_ids = pred_qi.all();
             outcome.linking = Some(query_linking(&cell.gold.query.ids, &pred_qi));
-        }
+            pred_qi
+        };
 
         // Execution accuracy: run both queries, superset-match, audit. The
         // predicted query is untrusted model output and runs under the
@@ -436,7 +445,9 @@ impl EvalContext {
         };
         if match_result_sets(gold_rs, &pred_rs).is_match() {
             outcome.set_matched = true;
-            outcome.exec_correct = audit_semantics(&cell.pair.sql, &native_sql);
+            let gold = &cell.gold.query;
+            outcome.exec_correct =
+                audit_statements(&gold.statement, &gold.ids, &pred_stmt, &pred_qi);
         }
         (outcome, Some(native_sql))
     }
@@ -504,17 +515,11 @@ struct WorkItem<'a> {
     trips: u64,
 }
 
-/// A pending cell of a (possibly sharded, possibly resumed) run: the work
+/// An in-shard cell of a (possibly sharded, possibly resumed) run: the work
 /// item plus its grid-global index.
 struct ExecSlot<'a, 'b> {
     global: usize,
     item: &'b WorkItem<'a>,
-}
-
-/// A cell restored from the checkpoint store instead of executed.
-struct Restored {
-    record: QueryRecord,
-    delta: Option<CellDelta>,
 }
 
 /// Run the benchmark over a prebuilt collection.
@@ -523,7 +528,10 @@ struct Restored {
 /// `config.threads` workers (default: available parallelism). Each item is
 /// a pure function of `(config.seed, item)`, and the scheduler reassembles
 /// results in grid order, so the records are identical — in content and
-/// order — to the serial nested loop at any thread count.
+/// order — to the serial nested loop at any thread count. Under
+/// [`BenchmarkConfig::checkpoint`] the same pass restores stored cells: a
+/// worker that finds a verified record for its cell returns it instead of
+/// executing the cell.
 pub fn run_benchmark_on(
     collection: &[SnailsDatabase],
     config: &BenchmarkConfig,
@@ -650,81 +658,57 @@ pub fn run_benchmark_on(
     // Unbounded: the grid's misses are all compulsory (DESIGN.md §5).
     let plans = PlanCache::new();
 
-    // Restore pass: load any verified checkpoint records for this shard's
-    // cells before executing what remains. Corruption quarantines the file
-    // and recomputes the cell — it never aborts and is never silently
-    // trusted.
+    // The checkpoint store: each cell asks it first and restores a verified
+    // record instead of executing. Corruption quarantines the file and
+    // recomputes the cell — it never aborts and is never silently trusted.
     let store = config.checkpoint.as_ref().map(|spec| {
         CellStore::open(spec, fingerprint)
             .unwrap_or_else(|e| panic!("cannot open checkpoint dir {:?}: {e}", spec.dir))
     });
-    let mut stats = CheckpointStats::default();
-    let mut restored: Vec<Option<Restored>> = Vec::with_capacity(items.len());
-    for (global, item) in items.iter().enumerate() {
-        let slot = match (&store, shard.contains(global)) {
-            (Some(store), true) => match store.load(global, config.telemetry) {
-                CellLoad::Hit { record, exec_sql, delta } => {
-                    stats.hits += 1;
-                    snails_obs::add(Metric::CkptHit, 1);
-                    // Re-warm the plan cache with the SQL this cell executed,
-                    // in grid order — a resumed run then reaches the
-                    // remaining cells with the same cache contents the
-                    // uninterrupted run would have had at *some* interleaving
-                    // (cache contents only affect speed, never results).
-                    if let Some(sql) = &exec_sql {
-                        plans.warm(&item.cell.db.db, sql);
-                    }
-                    Some(Restored { record, delta })
-                }
-                CellLoad::Miss => {
-                    stats.misses += 1;
-                    snails_obs::add(Metric::CkptMiss, 1);
-                    None
-                }
-                CellLoad::Corrupt => {
-                    stats.corrupt += 1;
-                    snails_obs::add(Metric::CkptCorrupt, 1);
-                    None
-                }
-            },
-            _ => None,
-        };
-        restored.push(slot);
-    }
 
-    // The cells this invocation still owes: in-shard and not restored.
-    let pending: Vec<ExecSlot<'_, '_>> = items
+    // The cells this invocation owes: the shard's slice of the grid.
+    let owned: Vec<ExecSlot<'_, '_>> = items
         .iter()
         .enumerate()
-        .filter(|(i, _)| shard.contains(*i) && restored[*i].is_none())
+        .filter(|(i, _)| shard.contains(*i))
         .map(|(global, item)| ExecSlot { global, item })
         .collect();
 
-    // Per-cell telemetry capture is only needed when a record must carry its
-    // deterministic telemetry delta into the store (checkpoint + telemetry).
-    let capture = store.is_some() && obs.is_some();
     let run_cell_slot = |slot: &ExecSlot<'_, '_>| {
         let it = slot.item;
         let opts = ExecOptions { limits: config.limits, ..Default::default() };
-        let (outcome, exec_sql) = it.ctx.evaluate(it.cell, &plans, opts);
-        (it.ctx.record(it.cell, outcome, *it.qm), exec_sql)
+        let (outcome, _) = it.ctx.evaluate(it.cell, &plans, opts);
+        it.ctx.record(it.cell, outcome, *it.qm)
     };
-    let computed = scheduler::run_ordered_observed_keyed(
-        &pending,
+    // Each cell yields its record plus, when restored from the store under
+    // telemetry, the span rollup of its stored delta (merged below).
+    let done = scheduler::run_ordered_observed_keyed(
+        &owned,
         threads,
         obs.as_ref(),
         // Task ids are grid-global, so the span streams of sharded and
         // resumed runs interleave exactly like the full run's.
         |_, slot| slot.global as u64,
         |_, slot| {
-            if !capture {
-                let (record, exec_sql) = run_cell_slot(slot);
-                if let Some(store) = &store {
-                    let _ = store.store(slot.global, &record, exec_sql.as_deref(), None);
-                    snails_obs::add(Metric::CkptWritten, 1);
-                }
-                return record;
+            let Some(store) = &store else { return (run_cell_slot(slot), Vec::new()) };
+            if let CellLoad::Hit { record, delta } = store.load(slot.global, config.telemetry) {
+                // The stored counters and histograms are sums, so replaying
+                // them from any worker in any order leaves the registry as
+                // executing the cell would have.
+                let spans = match (&obs, delta) {
+                    (Some(ctx), Some(delta)) => {
+                        delta.replay(&ctx.registry).expect("verified delta replays cleanly");
+                        delta.spans
+                    }
+                    _ => Vec::new(),
+                };
+                return (record, spans);
             }
+            let Some(ctx) = &obs else {
+                let record = run_cell_slot(slot);
+                let _ = store.store(slot.global, &record, None);
+                return (record, Vec::new());
+            };
             // Capture this cell's deterministic telemetry in a nested
             // temporary context, persist it alongside the record, then fold
             // it into the run context — so a future resume can replay the
@@ -739,22 +723,13 @@ pub fn run_benchmark_on(
                 })
             };
             let snap = temp.registry.snapshot();
-            let rollup = temp.tracer.rollup();
-            let delta = CellDelta::capture(&snap, &rollup);
-            let ctx = obs.as_ref().expect("capture implies telemetry");
+            let delta = CellDelta::capture(&snap, &temp.tracer.rollup());
             ctx.registry.absorb(&snap);
             ctx.tracer.absorb(temp.tracer.drain_sorted());
             match outcome {
-                Ok((record, exec_sql)) => {
-                    let store = store.as_ref().expect("capture implies checkpointing");
-                    let _ = store.store(
-                        slot.global,
-                        &record,
-                        exec_sql.as_deref(),
-                        Some(&delta),
-                    );
-                    ctx.registry.add(Metric::CkptWritten, 1);
-                    record
+                Ok(record) => {
+                    let _ = store.store(slot.global, &record, Some(&delta));
+                    (record, Vec::new())
                 }
                 // A panicking cell (an injected fault) is never
                 // checkpointed — its partial telemetry was folded in above
@@ -771,52 +746,25 @@ pub fn run_benchmark_on(
                 std::panic::resume_unwind(payload);
             }
             let it = slot.item;
-            it.ctx.record(it.cell, Outcome::failed(FailureKind::Panic), *it.qm)
+            (it.ctx.record(it.cell, Outcome::failed(FailureKind::Panic), *it.qm), Vec::new())
         },
     );
-    stats.written = store.as_ref().map_or(0, |s| s.written());
 
-    // Reassemble this shard's records in grid order, replaying restored
-    // cells' stored telemetry so the final report is indistinguishable from
-    // having executed them.
-    let mut restored_spans: BTreeMap<&'static str, snails_obs::SpanStat> = BTreeMap::new();
-    let mut computed_iter = computed.into_iter();
-    let mut records = Vec::with_capacity(pending.len() + stats.hits as usize);
-    for (global, slot) in restored.into_iter().enumerate() {
-        if !shard.contains(global) {
-            continue;
-        }
-        match slot {
-            Some(r) => {
-                if let Some(ctx) = obs.as_ref() {
-                    if let Some(delta) = &r.delta {
-                        delta
-                            .replay(&ctx.registry)
-                            .expect("verified delta replays cleanly");
-                        for (name, count, total) in &delta.spans {
-                            let stat = restored_spans.entry(name).or_default();
-                            stat.count += count;
-                            stat.total += total;
-                        }
-                    }
-                    // The scheduler counts executed items; a restored cell
-                    // is an item this run *accounts for* without executing.
-                    ctx.registry.add(Metric::CoreSchedulerItems, 1);
-                }
-                records.push(r.record);
+    let mut telemetry = obs.map(|ctx| ctx.report());
+    let mut records = Vec::with_capacity(done.len());
+    for (record, spans) in done {
+        if let Some(report) = &mut telemetry {
+            for (name, count, total) in spans {
+                let stat = report.spans.entry(name).or_default();
+                stat.count += count;
+                stat.total += total;
             }
-            None => records.push(
-                computed_iter.next().expect("one computed record per pending cell"),
-            ),
         }
+        records.push(record);
     }
-    debug_assert!(computed_iter.next().is_none());
 
     let mut faults = FaultSummary::default();
-    for (i, it) in items.iter().enumerate() {
-        if !shard.contains(i) {
-            continue;
-        }
+    for ExecSlot { item: it, .. } in &owned {
         faults.cells += 1;
         faults.attempts += u64::from(it.cell.plan.attempts);
         faults.retries += u64::from(it.cell.plan.retries());
@@ -828,20 +776,11 @@ pub fn run_benchmark_on(
         }
     }
 
-    let telemetry = obs.map(|ctx| {
-        let mut report = ctx.report();
-        for (name, stat) in restored_spans {
-            let slot = report.spans.entry(name).or_default();
-            slot.count += stat.count;
-            slot.total += stat.total;
-        }
-        report
-    });
     BenchmarkRun {
         records,
         faults,
         telemetry,
-        checkpoint: store.is_some().then_some(stats),
+        checkpoint: store.as_ref().map(CellStore::stats),
         fingerprint,
         grid_cells: items.len(),
     }

@@ -91,10 +91,9 @@ where
 /// time) that legitimately vary with the thread count.
 ///
 /// The caller-chosen task ids let the checkpoint layer run a *subset* of
-/// the grid (a shard, or the cells a resumed run still owes) while tagging
-/// each cell's spans with its grid-global index — so the merged span
-/// stream of a sharded or resumed run interleaves exactly like the
-/// uninterrupted full run's.
+/// the grid (a shard) while tagging each cell's spans with its grid-global
+/// index — so the merged span stream of a sharded or resumed run
+/// interleaves exactly like the uninterrupted full run's.
 pub fn run_ordered_observed_keyed<I, T, K, F, P>(
     items: &[I],
     threads: usize,

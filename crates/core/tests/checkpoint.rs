@@ -8,7 +8,7 @@
 //! `tests/`, where the `snails` binary is available).
 
 use proptest::prelude::*;
-use snails_core::checkpoint::{manifest_from_run, merge_manifests, CheckpointSpec, Shard};
+use snails_core::checkpoint::{fnv1a, manifest_from_run, merge_manifests, CheckpointSpec, Shard};
 use snails_core::pipeline::{run_benchmark_on, BenchmarkConfig, FaultSummary};
 use snails_data::SnailsDatabase;
 use snails_llm::faults::FaultProfile;
@@ -131,10 +131,6 @@ fn partial_resume_is_byte_identical_across_thread_counts() {
         );
         let report = resumed.telemetry.as_ref().unwrap();
         assert_eq!(report.counter("checkpoint.hit"), stats.hits);
-        assert!(
-            report.counter("engine.plan.resume_warm") > 0,
-            "restored cells re-warm the plan cache"
-        );
         // Knock the same half out again so the second thread count also
         // exercises a genuine partial resume.
         for (i, path) in cell_files(&dir).iter().enumerate() {
@@ -143,6 +139,92 @@ fn partial_resume_is_byte_identical_across_thread_counts() {
             }
         }
     }
+}
+
+/// A fully restored run executes no cell: the plan-cache lookups that
+/// every executed cell makes are absent from the stored deltas, so any
+/// recomputed cell would show up in the assembly counters.
+#[test]
+fn full_resume_restores_every_cell_without_executing_one() {
+    let dbs = collection();
+    let dir = scratch("full");
+    let cfg = |threads: usize| BenchmarkConfig {
+        threads: Some(threads),
+        checkpoint: Some(CheckpointSpec::at(&dir)),
+        ..small_config(FaultProfile::NONE)
+    };
+    let fresh = run_benchmark_on(&dbs, &cfg(2));
+    let fresh_report = fresh.telemetry.as_ref().unwrap();
+    assert!(fresh_report.counter("engine.plan.cache_miss") > 0, "the fresh run executed");
+    assert_eq!(fresh_report.counter("checkpoint.written"), 160);
+    for threads in [1usize, 8] {
+        let resumed = run_benchmark_on(&dbs, &cfg(threads));
+        let stats = resumed.checkpoint.expect("stats");
+        assert_eq!((stats.hits, stats.misses, stats.corrupt), (160, 0, 0), "threads {threads}");
+        assert_eq!(stats.written, 0, "threads {threads}: a full resume writes nothing");
+        assert_eq!(cell_files(&dir).len(), 160);
+        let report = resumed.telemetry.as_ref().unwrap();
+        assert_eq!(report.counter("checkpoint.hit"), 160);
+        assert_eq!(report.counter("checkpoint.written"), 0);
+        assert_eq!(
+            report.counter("engine.plan.cache_hit") + report.counter("engine.plan.cache_miss"),
+            0,
+            "threads {threads}: a restored cell looked up a plan"
+        );
+        assert_eq!(resumed.records, fresh.records);
+        assert_eq!(report.deterministic_json(), fresh_report.deterministic_json());
+        assert_eq!(
+            manifest_from_run(&resumed, &cfg(threads)).to_string(),
+            manifest_from_run(&fresh, &cfg(2)).to_string()
+        );
+    }
+}
+
+/// Cell files of the previous format (`snails-ckpt v1`, which carried a
+/// `sql` line after the record) fail validation as a whole: they are
+/// quarantined and their cells recomputed, never parsed as current records.
+#[test]
+fn previous_format_cell_files_are_quarantined_and_recomputed() {
+    let dbs = collection();
+    let dir = scratch("v1");
+    let cfg = BenchmarkConfig {
+        checkpoint: Some(CheckpointSpec::at(&dir)),
+        ..small_config(FaultProfile::NONE)
+    };
+    let fresh = run_benchmark_on(&dbs, &cfg);
+    let files = cell_files(&dir);
+    let downgraded: Vec<&PathBuf> = files.iter().step_by(7).collect();
+    for path in &downgraded {
+        // Rewrite the file as v1 would have: old header, a `sql` line after
+        // the record, and a valid checksum over the whole body.
+        let text = std::fs::read_to_string(path).unwrap();
+        let body = &text[..text.rfind("sum ").unwrap()];
+        let mut v1 = String::new();
+        for line in body.lines() {
+            if line == "snails-ckpt v2" {
+                v1.push_str("snails-ckpt v1\n");
+                continue;
+            }
+            v1.push_str(line);
+            v1.push('\n');
+            if line.starts_with("rec ") {
+                v1.push_str("sql SELECT\\_1\n");
+            }
+        }
+        let sum = fnv1a(v1.as_bytes());
+        std::fs::write(path, format!("{v1}sum {sum:016x}\n")).unwrap();
+    }
+
+    let resumed = run_benchmark_on(&dbs, &cfg);
+    let stats = resumed.checkpoint.expect("stats");
+    let n = downgraded.len() as u64;
+    assert_eq!((stats.hits, stats.corrupt, stats.written), (160 - n, n, n));
+    assert_eq!(quarantined(&dir), downgraded.len());
+    assert_eq!(resumed.records, fresh.records);
+    assert_eq!(
+        resumed.telemetry.as_ref().unwrap().deterministic_json(),
+        fresh.telemetry.as_ref().unwrap().deterministic_json()
+    );
 }
 
 #[test]
@@ -355,7 +437,7 @@ fn stored_record_fuzz_never_panics_and_never_lies() {
     cfg.telemetry = false;
     let run = run_benchmark_on(&dbs, &cfg);
     let record = run.records[0].clone();
-    store.store(3, &record, Some("SELECT 1"), None).unwrap();
+    store.store(3, &record, None).unwrap();
     let path = cell_files(&dir)[0].clone();
     let pristine = std::fs::read(&path).unwrap();
 
@@ -377,13 +459,12 @@ fn stored_record_fuzz_never_panics_and_never_lies() {
         match store.load(3, false) {
             // Only identical bytes may verify (truncation at the full
             // length is the one mutation that is a no-op).
-            CellLoad::Hit { record: r, exec_sql, .. } => {
+            CellLoad::Hit { record: r, .. } => {
                 assert_eq!(
                     bytes, pristine,
                     "case {case}: a mutated record must never verify"
                 );
                 assert_eq!(r, record);
-                assert_eq!(exec_sql.as_deref(), Some("SELECT 1"));
             }
             CellLoad::Corrupt => {
                 assert_ne!(bytes, pristine, "case {case}: pristine record rejected");

@@ -188,18 +188,6 @@ impl Database {
         Ok(())
     }
 
-    /// Bulk insert.
-    pub fn insert_all(
-        &mut self,
-        table: &str,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<(), EngineError> {
-        for row in rows {
-            self.insert(table, row)?;
-        }
-        Ok(())
-    }
-
     /// Register a view. Views live in a `(schema, name)` namespace distinct
     /// from tables; a view shadows nothing.
     pub fn create_view(&mut self, view: ViewDef) {

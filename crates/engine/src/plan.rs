@@ -1590,37 +1590,6 @@ impl PlanCache {
         Ok(plan)
     }
 
-    /// Pre-compile `sql` into the cache without counting a hit or a miss —
-    /// the checkpoint-resume warm pass.
-    ///
-    /// A resumed grid restores completed cells from disk instead of
-    /// executing them, so their statements would never reach [`Self::plan`]
-    /// and later cells that share a statement would pay a cold compile the
-    /// uninterrupted run amortized away. Replaying restored cells' executed
-    /// SQL through `warm` (serially, in grid order) restores the cache to
-    /// the state the uninterrupted run would have reached. Counted under
-    /// `engine.plan.resume_warm` (plus `engine.plan.compile` when a compile
-    /// actually happens) so resumed runs are distinguishable from fresh
-    /// ones in the assembly telemetry section; hit/miss counters stay
-    /// reserved for execution-path lookups.
-    ///
-    /// Returns `true` when the statement is cached afterwards (already
-    /// present or compiled now); `false` when it cannot be cached (unlexable
-    /// or uncompilable — errors are never cached, matching [`Self::plan`]).
-    pub fn warm(&self, db: &Database, sql: &str) -> bool {
-        snails_obs::add(Obs::EnginePlanResumeWarm, 1);
-        let Some(norm) = snails_sql::cache_key(sql) else { return false };
-        let key = format!("{}\u{1}{}", db.name, norm);
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        if inner.plans.contains_key(&key) {
-            return true;
-        }
-        let Ok(stmt) = snails_sql::parse(sql) else { return false };
-        let Ok(plan) = compile(db, &stmt) else { return false };
-        self.insert(&mut inner, key, Arc::new(plan));
-        true
-    }
-
     /// Insert a freshly compiled plan, then evict the oldest inserted
     /// entries (FIFO) until the cache is back within its capacity.
     fn insert(&self, inner: &mut CacheInner, key: String, plan: Arc<CompiledPlan>) {

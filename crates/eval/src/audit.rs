@@ -11,26 +11,34 @@
 //! * the prediction must not have lost the gold query's aggregation
 //!   structure (a `GROUP BY` dropped but coincidentally matching).
 
-use snails_sql::{clause_profile, extract_identifiers, parse};
+use snails_sql::{clause_profile, extract_identifiers, parse, QueryIdentifiers, Statement};
 
 /// Audit a set-matched prediction; `true` = passes (finally correct).
 ///
 /// Unparseable predictions fail the audit (they cannot be reviewed).
+/// Callers that already hold both statements use [`audit_statements`].
 pub fn audit_semantics(gold_sql: &str, predicted_sql: &str) -> bool {
     let Ok(gold) = parse(gold_sql) else { return false };
     let Ok(pred) = parse(predicted_sql) else { return false };
+    audit_statements(&gold, &extract_identifiers(&gold), &pred, &extract_identifiers(&pred))
+}
 
-    let gold_ids = extract_identifiers(&gold);
-    let pred_ids = extract_identifiers(&pred);
-
+/// [`audit_semantics`] on parsed statements and the identifiers extracted
+/// from them.
+pub fn audit_statements(
+    gold: &Statement,
+    gold_ids: &QueryIdentifiers,
+    pred: &Statement,
+    pred_ids: &QueryIdentifiers,
+) -> bool {
     // Wrong-table check: every gold table referenced.
     if !gold_ids.tables.is_subset(&pred_ids.tables) {
         return false;
     }
 
     // Aggregation-structure check: grouping present iff gold groups.
-    let gold_profile = clause_profile(&gold);
-    let pred_profile = clause_profile(&pred);
+    let gold_profile = clause_profile(gold);
+    let pred_profile = clause_profile(pred);
     if gold_profile.group_by && !pred_profile.group_by {
         return false;
     }

@@ -23,7 +23,7 @@ pub mod linking;
 pub mod report;
 pub mod stats;
 
-pub use audit::audit_semantics;
+pub use audit::{audit_semantics, audit_statements};
 pub use execution::{match_result_sets, ExecutionOutcome};
 pub use linking::{identifier_recall, query_linking, IdentifierTally, LinkingScores};
 pub use stats::{kendall_tau_b, mean_confidence_interval, KendallResult};

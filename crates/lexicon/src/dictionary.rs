@@ -77,18 +77,6 @@ impl Dictionary {
     ) -> impl Iterator<Item = &'static str> + 'a {
         self.words.iter().copied().filter(move |w| w.starts_with(prefix))
     }
-
-    /// Words that contain the letters of `subseq` in order (the appendix B.1
-    /// downsampling step: candidate expansions of an abbreviation).
-    pub fn words_with_subsequence<'a>(
-        &'a self,
-        subseq: &'a str,
-    ) -> impl Iterator<Item = &'static str> + 'a {
-        self.words
-            .iter()
-            .copied()
-            .filter(move |w| is_subsequence(subseq, w))
-    }
 }
 
 /// True when `needle`'s characters appear in `hay` in order (not necessarily

@@ -112,14 +112,6 @@ pub fn split_identifier(identifier: &str) -> Vec<IdentifierToken> {
     tokens
 }
 
-/// Convenience: lowercase token texts only.
-pub fn split_lower(identifier: &str) -> Vec<String> {
-    split_identifier(identifier)
-        .into_iter()
-        .map(|t| t.text.to_ascii_lowercase())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -100,11 +100,6 @@ impl SoftmaxClassifier {
         ])
     }
 
-    /// The feature configuration the model was trained with.
-    pub fn feature_config(&self) -> FeatureConfig {
-        self.features
-    }
-
     /// Learned weights (per class) for inspection.
     pub fn weights(&self) -> &[Vec<f64>; 3] {
         &self.weights

@@ -123,9 +123,6 @@ define_metrics! {
     EnginePlanCacheMiss => "engine.plan.cache_miss", Counter, &[], Assembly;
     /// Plans evicted from a bounded cache (FIFO order).
     EnginePlanCacheEviction => "engine.plan.cache_eviction", Counter, &[], Assembly;
-    /// Plans pre-compiled by the resume-warm pass (restored checkpoint
-    /// cells replaying their statements into the cache before execution).
-    EnginePlanResumeWarm => "engine.plan.resume_warm", Counter, &[], Assembly;
 
     // ---- engine: per-statement execution and budgets ---------------------
     /// Statements executed (interpreter or compiled plan).
@@ -404,7 +401,6 @@ mod tests {
             "engine.plan.cache_hit",
             "engine.plan.cache_miss",
             "engine.plan.cache_eviction",
-            "engine.plan.resume_warm",
             "checkpoint.hit",
             "checkpoint.miss",
             "checkpoint.corrupt",

@@ -18,6 +18,10 @@
 
 use std::fmt;
 
+/// FNV-1a over a byte slice — the transcript hash the load harness and the
+/// CLI print for byte-identity checks (the checkpoint store's checksum).
+pub use snails_core::checkpoint::fnv1a;
+
 /// Hard cap on a frame's payload length (1 MiB). A peer announcing more is
 /// either corrupt or hostile; the connection is closed after a typed error.
 pub const MAX_FRAME: usize = 1 << 20;
@@ -731,15 +735,4 @@ impl FrameReader {
             }
         }
     }
-}
-
-/// FNV-1a over a byte slice — the transcript hash the load harness and the
-/// CLI print for byte-identity checks.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }

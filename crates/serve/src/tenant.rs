@@ -166,11 +166,6 @@ impl Tenant {
         }
     }
 
-    /// Database names this tenant serves, sorted.
-    pub fn database_names(&self) -> Vec<String> {
-        self.dbs.values().map(|d| d.source.name().to_owned()).collect()
-    }
-
     fn db(&self, name: &str) -> Result<&TenantDb, ServeError> {
         self.dbs.get(&name.to_uppercase()).ok_or(ServeError::UnknownDatabase)
     }

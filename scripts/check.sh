@@ -91,7 +91,8 @@ PY
 
 echo "==> checkpoint kill/resume smoke (SIGKILL mid-grid, resume, byte-compare)"
 # Crash-recovery smoke: run the grid with a deterministic abort injected
-# after 200 checkpoint writes, resume from the surviving store, and
+# after 200 checkpoint writes, resume from the surviving store on a
+# different worker count (the restore runs inside the parallel pass), and
 # byte-compare the resumed manifest against an uninterrupted run. Also
 # merges a 2-way shard split into the same bytes.
 ckpt_dir=$(mktemp -d)
@@ -108,7 +109,7 @@ fi
     echo "error: killed run should not have produced a manifest" >&2
     exit 1
 }
-"$snails" grid --threads 4 --ckpt "$ckpt_dir" --out "$manifest_dir/resumed.txt" 2> /dev/null
+"$snails" grid --threads 2 --ckpt "$ckpt_dir" --out "$manifest_dir/resumed.txt" 2> /dev/null
 cmp -s "$manifest_dir/clean.txt" "$manifest_dir/resumed.txt" || {
     echo "error: resumed manifest differs from the uninterrupted run" >&2
     exit 1
