@@ -38,9 +38,8 @@ use snails_eval::LinkingScores;
 use snails_llm::faults::FailureKind;
 use snails_llm::Workflow;
 use snails_naturalness::category::SchemaVariant;
-use snails_obs::{
-    ClockMode, HistSnapshot, Metric, Report, Section, Snapshot, SpanStat,
-};
+use snails_obs::keys::MetricKind;
+use snails_obs::{ClockMode, HistSnapshot, Metric, Report, Section, Snapshot, SpanStat};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -117,17 +116,34 @@ fn f64_from_hex(tok: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad f64 bits {tok:?}"))
 }
 
-/// Parse a 16-digit **lowercase** hex checksum trailer. Strictness matters:
-/// the trailer sits outside the checksummed body, so a permissive parse
-/// (`from_str_radix` accepts uppercase) would let a flipped case bit
-/// verify. Canonical writes are lowercase; anything else is corruption.
-fn trailer_hex(hex: &str) -> Result<u64, String> {
+/// End `body` with the trailer line `<tag> <checksum>`: the FNV-1a of the
+/// body as 16 lowercase hex digits. Cell files end with `sum`, manifests
+/// with `end`; [`verified_body`] checks either.
+fn seal(mut body: String, tag: &str) -> String {
+    let sum = fnv1a(body.as_bytes());
+    let _ = writeln!(body, "{tag} {sum:016x}");
+    body
+}
+
+/// The body of [`seal`]ed text, once its trailer verifies. The trailer
+/// sits outside the checksummed body, so it must be exactly canonical: a
+/// permissive parse (`from_str_radix` accepts uppercase) would let a
+/// flipped case bit verify, and any stray or missing byte (even a lost
+/// final newline) is corruption.
+fn verified_body<'a>(text: &'a str, tag: &str) -> Result<&'a str, String> {
+    let missing = || format!("missing {tag} checksum");
+    let body_end = text.rfind(&format!("\n{tag} ")).ok_or_else(missing)? + 1;
+    let (body, trailer) = text.split_at(body_end);
+    let hex = trailer[tag.len() + 1..].strip_suffix('\n').ok_or_else(missing)?;
     if hex.len() != 16
         || !hex.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
     {
-        return Err("bad checksum".into());
+        return Err(format!("bad {tag} checksum"));
     }
-    u64::from_str_radix(hex, 16).map_err(|_| "bad checksum".to_string())
+    if u64::from_str_radix(hex, 16) != Ok(fnv1a(body.as_bytes())) {
+        return Err(format!("{tag} checksum mismatch"));
+    }
+    Ok(body)
 }
 
 /// Intern an arbitrary string as `&'static str` (bounded vocabulary: span
@@ -449,119 +465,80 @@ pub fn record_from_line(line: &str) -> Result<QueryRecord, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-cell telemetry delta
+// Telemetry line codec (cell files and manifests)
 // ---------------------------------------------------------------------------
 
-/// The deterministic telemetry a single cell contributed: nonzero
-/// deterministic counters/histograms plus the cell's span rollup. A pure
-/// function of the cell, so a stored delta replayed into a resumed run's
-/// registry reproduces the exact bytes the cell's execution would have
-/// recorded. Assembly- and volatile-class metrics are excluded by
-/// construction (they live in other snapshot sections).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CellDelta {
-    /// `(metric name, value)` for nonzero deterministic counters.
-    pub counters: Vec<(&'static str, u64)>,
-    /// `(metric name, count, sum, per-bucket counts)` for touched
-    /// deterministic histograms.
-    pub hists: Vec<(&'static str, u64, u64, Vec<u64>)>,
-    /// `(span name, count, total ticks)` rollup.
-    pub spans: Vec<(&'static str, u64, u64)>,
+/// Deterministic telemetry as cell files and manifests store it: a
+/// deterministic metrics section and a span rollup.
+pub type Telemetry = (Section, BTreeMap<&'static str, SpanStat>);
+
+/// Write telemetry as one line per counter (`TC`), gauge (`TG`), histogram
+/// (`TH`) and span name (`TS`), each group in map order.
+fn write_telemetry(out: &mut String, (section, spans): &Telemetry) {
+    for (name, v) in &section.counters {
+        let _ = writeln!(out, "TC {name} {v}");
+    }
+    for (name, v) in &section.gauges {
+        let _ = writeln!(out, "TG {name} {v}");
+    }
+    for (name, h) in &section.histograms {
+        let _ = write!(out, "TH {name} {} {}", h.count, h.sum);
+        for c in &h.counts {
+            let _ = write!(out, " {c}");
+        }
+        out.push('\n');
+    }
+    for (name, s) in spans {
+        let _ = writeln!(out, "TS {name} {} {}", s.count, s.total);
+    }
 }
 
-impl CellDelta {
-    /// Extract the delta from a cell-scoped snapshot and span rollup.
-    pub fn capture(snap: &Snapshot, rollup: &BTreeMap<&'static str, SpanStat>) -> CellDelta {
-        let mut delta = CellDelta::default();
-        for (name, v) in &snap.deterministic.counters {
-            if *v > 0 {
-                delta.counters.push((name, *v));
-            }
+/// Parse one [`write_telemetry`] line, split into its `tag` and the `rest`,
+/// into `tel` (the first line creates it). Every metric must be registered
+/// with the line's kind, and a histogram must have its metric's buckets.
+fn parse_telemetry_line(
+    tel: &mut Option<Telemetry>,
+    tag: &str,
+    rest: &str,
+) -> Result<(), String> {
+    let metric = |name: &str, kind: MetricKind| {
+        Metric::by_name(name)
+            .filter(|m| m.spec().kind == kind)
+            .ok_or_else(|| format!("unknown {kind:?} {name}"))
+    };
+    let (section, spans) = tel.get_or_insert_with(Telemetry::default);
+    let mut t = Toks::new(rest);
+    match tag {
+        "TC" => {
+            let m = metric(t.next()?, MetricKind::Counter)?;
+            section.counters.insert(m.name(), t.u64()?);
         }
-        for (name, h) in &snap.deterministic.histograms {
-            if h.count > 0 {
-                delta.hists.push((name, h.count, h.sum, h.counts.clone()));
-            }
+        "TG" => {
+            let m = metric(t.next()?, MetricKind::Gauge)?;
+            let v = t.next()?.parse().map_err(|_| "bad gauge".to_string())?;
+            section.gauges.insert(m.name(), v);
         }
-        for (name, stat) in rollup {
-            delta.spans.push((name, stat.count, stat.total));
-        }
-        delta
-    }
-
-    /// Replay the delta into a live registry (counters and histograms; the
-    /// caller merges `spans` into its report rollup).
-    pub fn replay(&self, registry: &snails_obs::Registry) -> Result<(), String> {
-        for (name, v) in &self.counters {
-            let m = Metric::by_name(name).ok_or_else(|| format!("unknown metric {name}"))?;
-            registry.add(m, *v);
-        }
-        for (name, count, sum, counts) in &self.hists {
-            let m = Metric::by_name(name).ok_or_else(|| format!("unknown metric {name}"))?;
+        "TH" => {
+            let m = metric(t.next()?, MetricKind::Histogram)?;
+            let (count, sum) = (t.u64()?, t.u64()?);
+            let counts = t
+                .it
+                .by_ref()
+                .map(|tok| tok.parse().map_err(|_| format!("bad bucket {tok:?}")))
+                .collect::<Result<Vec<u64>, _>>()?;
             let bounds = m.spec().buckets;
             if counts.len() != bounds.len() + 1 {
-                return Err(format!("{name}: bucket shape mismatch"));
+                return Err(format!("{}: bucket shape mismatch", m.name()));
             }
-            registry.absorb_hist(
-                m,
-                &HistSnapshot { bounds, counts: counts.clone(), count: *count, sum: *sum },
-            );
+            section.histograms.insert(m.name(), HistSnapshot { bounds, counts, count, sum });
         }
-        Ok(())
+        "TS" => {
+            let name = intern(t.next()?);
+            spans.insert(name, SpanStat { count: t.u64()?, total: t.u64()? });
+        }
+        other => return Err(format!("bad telemetry tag {other:?}")),
     }
-
-    fn write_lines(&self, out: &mut String) {
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "tc {name} {v}");
-        }
-        for (name, count, sum, counts) in &self.hists {
-            let _ = write!(out, "th {name} {count} {sum}");
-            for c in counts {
-                let _ = write!(out, " {c}");
-            }
-            out.push('\n');
-        }
-        for (name, count, total) in &self.spans {
-            let _ = writeln!(out, "ts {name} {count} {total}");
-        }
-    }
-
-    fn line_count(&self) -> usize {
-        self.counters.len() + self.hists.len() + self.spans.len()
-    }
-
-    fn parse_line(&mut self, line: &str) -> Result<(), String> {
-        let mut t = Toks::new(line);
-        match t.next()? {
-            "tc" => {
-                let name = metric_static(t.next()?)?;
-                self.counters.push((name, t.u64()?));
-            }
-            "th" => {
-                let name = metric_static(t.next()?)?;
-                let count = t.u64()?;
-                let sum = t.u64()?;
-                let mut counts = Vec::new();
-                while let Ok(tok) = t.next() {
-                    counts.push(tok.parse().map_err(|_| format!("bad bucket {tok:?}"))?);
-                }
-                self.hists.push((name, count, sum, counts));
-                return Ok(()); // consumed the rest of the line
-            }
-            "ts" => {
-                let name = intern(t.next()?);
-                self.spans.push((name, t.u64()?, t.u64()?));
-            }
-            other => return Err(format!("bad delta line {other:?}")),
-        }
-        t.done()
-    }
-}
-
-fn metric_static(name: &str) -> Result<&'static str, String> {
-    Metric::by_name(name)
-        .map(|m| m.name())
-        .ok_or_else(|| format!("unknown metric {name}"))
+    t.done()
 }
 
 // ---------------------------------------------------------------------------
@@ -611,12 +588,13 @@ pub struct CheckpointStats {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum CellLoad {
-    /// Verified record (with its telemetry delta, when stored).
+    /// Verified record (with its telemetry, when stored).
     Hit {
         /// The restored record.
         record: QueryRecord,
-        /// Stored deterministic telemetry delta.
-        delta: Option<CellDelta>,
+        /// The deterministic telemetry the cell recorded: its nonzero
+        /// metrics and its span rollup.
+        telemetry: Option<Telemetry>,
     },
     /// No record (or a valid record lacking telemetry a telemetry run
     /// needs) — compute the cell.
@@ -641,7 +619,7 @@ pub struct CellStore {
 /// First line of every cell file. Bump it whenever the layout changes: a
 /// file in another layout then fails validation and its cell is
 /// recomputed instead of being misparsed.
-const CELL_HEADER: &str = "snails-ckpt v2";
+const CELL_HEADER: &str = "snails-ckpt v3";
 
 impl CellStore {
     /// Open (creating as needed) the store at `spec.dir` for the grid with
@@ -693,8 +671,8 @@ impl CellStore {
     }
 
     /// Load and verify cell `index`, counting the outcome in [`Self::stats`]
-    /// and the `checkpoint.*` metrics. `need_telemetry` demands a stored
-    /// telemetry delta (a record without one is a [`CellLoad::Miss`] for a
+    /// and the `checkpoint.*` metrics. `need_telemetry` demands stored
+    /// telemetry (a record without it is a [`CellLoad::Miss`] for a
     /// telemetry run — valid, just insufficient — and is left in place).
     pub fn load(&self, index: usize, need_telemetry: bool) -> CellLoad {
         let path = self.cell_path(index);
@@ -729,24 +707,7 @@ impl CellStore {
         need_telemetry: bool,
     ) -> Result<Option<CellLoad>, String> {
         let text = std::str::from_utf8(bytes).map_err(|_| "not utf-8".to_string())?;
-        // Checksum covers everything before the final `sum` line.
-        let body_end = text
-            .rfind("\nsum ")
-            .ok_or_else(|| "missing checksum".to_string())?
-            + 1;
-        let body = &text[..body_end];
-        // The trailer must be exactly `sum <16 hex>\n` — any stray or
-        // missing byte (even a lost trailing newline) fails verification.
-        let hex = text[body_end..]
-            .strip_prefix("sum ")
-            .and_then(|r| r.strip_suffix('\n'))
-            .ok_or_else(|| "missing checksum".to_string())?;
-        let stored = trailer_hex(hex)?;
-        if stored != fnv1a(body.as_bytes()) {
-            return Err("checksum mismatch".into());
-        }
-
-        let mut lines = body.lines();
+        let mut lines = verified_body(text, "sum")?.lines();
         if lines.next() != Some(CELL_HEADER) {
             return Err("bad header".into());
         }
@@ -771,29 +732,17 @@ impl CellStore {
         let record = record_from_line(
             rec_line.strip_prefix("rec ").ok_or("missing record")?,
         )?;
-        let delta = match lines.next() {
-            None => None,
-            Some(tel_line) => {
-                let mut t = Toks::new(tel_line);
-                if t.next()? != "tel" {
-                    return Err("bad telemetry marker".into());
-                }
-                let n = t.usize()?;
-                t.done()?;
-                let mut delta = CellDelta::default();
-                for _ in 0..n {
-                    delta.parse_line(lines.next().ok_or("truncated telemetry")?)?;
-                }
-                if lines.next().is_some() {
-                    return Err("trailing lines".into());
-                }
-                Some(delta)
-            }
-        };
-        if need_telemetry && delta.is_none() {
+        // Telemetry lines, if any, run to the end. A cell stored under
+        // telemetry always has at least its `cell` span.
+        let mut telemetry = None;
+        for line in lines {
+            let (tag, rest) = line.split_once(' ').ok_or("bad telemetry line")?;
+            parse_telemetry_line(&mut telemetry, tag, rest)?;
+        }
+        if need_telemetry && telemetry.is_none() {
             return Ok(None);
         }
-        Ok(Some(CellLoad::Hit { record, delta }))
+        Ok(Some(CellLoad::Hit { record, telemetry }))
     }
 
     /// Atomically persist cell `index`: serialize, write to a temp file,
@@ -805,18 +754,21 @@ impl CellStore {
         &self,
         index: usize,
         record: &QueryRecord,
-        delta: Option<&CellDelta>,
+        telemetry: Option<Telemetry>,
     ) -> std::io::Result<()> {
         let mut body = String::new();
         let _ = writeln!(body, "{CELL_HEADER}");
         let _ = writeln!(body, "fp {:016x}", self.fingerprint);
         let _ = writeln!(body, "cell {index}");
         let _ = writeln!(body, "rec {}", record_to_line(record));
-        if let Some(delta) = delta {
-            let _ = writeln!(body, "tel {}", delta.line_count());
-            delta.write_lines(&mut body);
+        if let Some((mut section, spans)) = telemetry {
+            // Keep only the counters and histograms the cell touched;
+            // restoring adds nothing else.
+            section.counters.retain(|_, v| *v != 0);
+            section.histograms.retain(|_, h| h.count != 0);
+            write_telemetry(&mut body, &(section, spans));
         }
-        let payload = format!("{body}sum {:016x}\n", fnv1a(body.as_bytes()));
+        let payload = seal(body, "sum");
 
         let path = self.cell_path(index);
         let tmp = path.with_extension("tmp");
@@ -858,7 +810,7 @@ pub struct ShardManifest {
     /// span rollup. Assembly and volatile sections are process-local
     /// diagnostics and are deliberately not persisted — manifests from a
     /// fresh, a resumed, and a merged run must render identical bytes.
-    pub telemetry: Option<(Section, BTreeMap<&'static str, SpanStat>)>,
+    pub telemetry: Option<Telemetry>,
 }
 
 const MANIFEST_HEADER: &str = "snails-manifest v1";
@@ -899,46 +851,15 @@ impl ShardManifest {
             let _ = write!(out, " {name} {count}");
         }
         out.push('\n');
-        if let Some((section, spans)) = &self.telemetry {
-            for (name, v) in &section.counters {
-                let _ = writeln!(out, "TC {name} {v}");
-            }
-            for (name, v) in &section.gauges {
-                let _ = writeln!(out, "TG {name} {v}");
-            }
-            for (name, h) in &section.histograms {
-                let _ = write!(out, "TH {name} {} {}", h.count, h.sum);
-                for c in &h.counts {
-                    let _ = write!(out, " {c}");
-                }
-                out.push('\n');
-            }
-            for (name, s) in spans {
-                let _ = writeln!(out, "TS {name} {} {}", s.count, s.total);
-            }
+        if let Some(telemetry) = &self.telemetry {
+            write_telemetry(&mut out, telemetry);
         }
-        let trailer = fnv1a(out.as_bytes());
-        let _ = writeln!(out, "end {trailer:016x}");
-        out
+        seal(out, "end")
     }
 
     /// Parse a serialized manifest, verifying its trailing checksum.
     pub fn parse(text: &str) -> Result<ShardManifest, String> {
-        let body_end = text
-            .rfind("\nend ")
-            .ok_or_else(|| "missing end checksum".to_string())?
-            + 1;
-        let body = &text[..body_end];
-        let hex = text[body_end..]
-            .strip_prefix("end ")
-            .and_then(|r| r.strip_suffix('\n'))
-            .ok_or_else(|| "missing end checksum".to_string())?;
-        let stored = trailer_hex(hex)?;
-        if stored != fnv1a(body.as_bytes()) {
-            return Err("manifest checksum mismatch".into());
-        }
-
-        let mut lines = body.lines();
+        let mut lines = verified_body(text, "end")?.lines();
         if lines.next() != Some(MANIFEST_HEADER) {
             return Err("bad manifest header".into());
         }
@@ -968,9 +889,7 @@ impl ShardManifest {
 
         let mut records = Vec::new();
         let mut faults = None;
-        let mut section = Section::default();
-        let mut spans: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
-        let mut saw_telemetry = false;
+        let mut telemetry = None;
         for line in lines {
             let (tag, rest) = line
                 .split_once(' ')
@@ -1002,53 +921,7 @@ impl ShardManifest {
                     t.done()?;
                     faults = Some(f);
                 }
-                "TC" => {
-                    saw_telemetry = true;
-                    let mut t = Toks::new(rest);
-                    section.counters.insert(metric_static(t.next()?)?, t.u64()?);
-                    t.done()?;
-                }
-                "TG" => {
-                    saw_telemetry = true;
-                    let mut t = Toks::new(rest);
-                    let name = metric_static(t.next()?)?;
-                    let v: i64 = t
-                        .next()?
-                        .parse()
-                        .map_err(|_| "bad gauge".to_string())?;
-                    section.gauges.insert(name, v);
-                    t.done()?;
-                }
-                "TH" => {
-                    saw_telemetry = true;
-                    let mut t = Toks::new(rest);
-                    let name = t.next()?;
-                    let m = Metric::by_name(name)
-                        .ok_or_else(|| format!("unknown metric {name}"))?;
-                    let count = t.u64()?;
-                    let sum = t.u64()?;
-                    let mut counts = Vec::new();
-                    while let Ok(tok) = t.next() {
-                        counts
-                            .push(tok.parse().map_err(|_| format!("bad bucket {tok:?}"))?);
-                    }
-                    let bounds = m.spec().buckets;
-                    if counts.len() != bounds.len() + 1 {
-                        return Err(format!("{name}: bucket shape mismatch"));
-                    }
-                    section.histograms.insert(
-                        m.name(),
-                        HistSnapshot { bounds, counts, count, sum },
-                    );
-                }
-                "TS" => {
-                    saw_telemetry = true;
-                    let mut t = Toks::new(rest);
-                    let name = intern(t.next()?);
-                    spans.insert(name, SpanStat { count: t.u64()?, total: t.u64()? });
-                    t.done()?;
-                }
-                other => return Err(format!("bad manifest tag {other:?}")),
+                _ => parse_telemetry_line(&mut telemetry, tag, rest)?,
             }
         }
         let faults = faults.ok_or_else(|| "missing fault summary".to_string())?;
@@ -1060,7 +933,7 @@ impl ShardManifest {
             total_cells,
             records,
             faults,
-            telemetry: saw_telemetry.then_some((section, spans)),
+            telemetry,
         })
     }
 
@@ -1076,13 +949,14 @@ impl ShardManifest {
     }
 }
 
-/// Grid-global metrics: recorded by the serial planning pre-pass, which
-/// always plans the *full* grid (breaker state must evolve in grid order
-/// regardless of which cells a shard executes). Every shard therefore
-/// carries identical full-grid values; the merge validates that and copies
-/// one, instead of summing.
-fn is_grid_global(name: &str) -> bool {
-    name.starts_with("llm.")
+/// A section's grid-global metrics, the `llm.*` counters: recorded by the
+/// serial planning pre-pass, which always plans the *full* grid (breaker
+/// state must evolve in grid order regardless of which cells a shard
+/// executes). Every shard therefore carries identical full-grid values;
+/// the merge validates that and copies one, instead of summing.
+fn grid_global(section: &Section) -> BTreeMap<&'static str, u64> {
+    let llm = section.counters.iter().filter(|(name, _)| name.starts_with("llm."));
+    llm.map(|(name, v)| (*name, *v)).collect()
 }
 
 /// Fold shard manifests into the single-run manifest.
@@ -1148,50 +1022,33 @@ pub fn merge_manifests(mut shards: Vec<ShardManifest>) -> Result<ShardManifest, 
         faults.merge(&s.faults);
     }
 
-    let telemetry = if with_telemetry {
-        let mut section = Section::default();
-        let mut spans: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
-        for s in &shards {
-            let (sect, sp) = s.telemetry.as_ref().expect("validated above");
-            for (name, v) in &sect.counters {
-                if is_grid_global(name) {
-                    let prev = section.counters.insert(name, *v);
-                    if prev.is_some_and(|p| p != *v) {
-                        return Err(format!(
-                            "grid-global counter {name} differs between shards"
-                        ));
-                    }
-                } else {
-                    *section.counters.entry(name).or_insert(0) += v;
+    let telemetry = match &shards[0].telemetry {
+        None => None,
+        Some((first, _)) => {
+            let global = grid_global(first);
+            let mut section = Section::default();
+            let mut spans: BTreeMap<&'static str, SpanStat> = BTreeMap::new();
+            for s in &shards {
+                let (sect, sp) = s.telemetry.as_ref().expect("validated above");
+                if grid_global(sect) != global {
+                    return Err(format!(
+                        "grid-global counters differ between shards {} and {}",
+                        shards[0].shard.label(),
+                        s.shard.label()
+                    ));
+                }
+                section.merge(sect);
+                for (name, stat) in sp {
+                    let slot = spans.entry(name).or_default();
+                    slot.count += stat.count;
+                    slot.total += stat.total;
                 }
             }
-            for (name, v) in &sect.gauges {
-                let slot = section.gauges.entry(name).or_insert(i64::MIN);
-                *slot = (*slot).max(*v);
-            }
-            for (name, h) in &sect.histograms {
-                match section.histograms.get_mut(name) {
-                    Some(mine) => {
-                        for (a, b) in mine.counts.iter_mut().zip(&h.counts) {
-                            *a += b;
-                        }
-                        mine.count += h.count;
-                        mine.sum = mine.sum.saturating_add(h.sum);
-                    }
-                    None => {
-                        section.histograms.insert(name, h.clone());
-                    }
-                }
-            }
-            for (name, stat) in sp {
-                let slot = spans.entry(name).or_default();
-                slot.count += stat.count;
-                slot.total += stat.total;
-            }
+            // Every shard carries the full grid's values, so the merge
+            // summed one copy per shard: keep just one.
+            section.counters.extend(global);
+            Some((section, spans))
         }
-        Some((section, spans))
-    } else {
-        None
     };
 
     Ok(ShardManifest {
@@ -1208,7 +1065,7 @@ pub fn merge_manifests(mut shards: Vec<ShardManifest>) -> Result<ShardManifest, 
 
 /// Build the manifest for a finished (possibly sharded, possibly resumed)
 /// benchmark invocation. Because a resumed run restores verified records
-/// and replays their telemetry deltas, the manifest of a resumed run is
+/// and absorbs their stored telemetry, the manifest of a resumed run is
 /// byte-identical to the manifest of the uninterrupted run — the
 /// recovery-correctness invariant the self-test harness asserts.
 pub fn manifest_from_run(
@@ -1382,7 +1239,32 @@ mod tests {
         // Duplicate shard: overlap.
         assert!(merge_manifests(vec![base.clone(), base.clone()]).is_err());
         // Foreign fingerprint.
-        let alien = ShardManifest { fingerprint: 2, ..other };
-        assert!(merge_manifests(vec![base, alien]).is_err());
+        let alien = ShardManifest { fingerprint: 2, ..other.clone() };
+        assert!(merge_manifests(vec![base.clone(), alien]).is_err());
+
+        // Telemetry: a shard's `planned` is the full grid's llm.* count,
+        // `items` and the span rollup its own cells'.
+        let tel = |planned: u64, items: u64| -> Telemetry {
+            let mut section = Section::default();
+            section.counters.insert("llm.cells.planned", planned);
+            section.counters.insert("core.scheduler.items", items);
+            let spans = [("cell", SpanStat { count: items, total: 3 * items })];
+            (section, spans.into_iter().collect())
+        };
+        let with =
+            |m: &ShardManifest, t: Telemetry| ShardManifest { telemetry: Some(t), ..m.clone() };
+        let merged =
+            merge_manifests(vec![with(&base, tel(2, 1)), with(&other, tel(2, 1))]).unwrap();
+        let parsed = ShardManifest::parse(&merged.to_string()).unwrap();
+        assert_eq!(parsed.telemetry, merged.telemetry);
+        assert_eq!(parsed.to_string(), merged.to_string());
+        let (section, spans) = merged.telemetry.unwrap();
+        assert_eq!(section.counters["llm.cells.planned"], 2, "llm.* copied once");
+        assert_eq!(section.counters["core.scheduler.items"], 2, "cell counters sum");
+        assert_eq!(spans["cell"], SpanStat { count: 2, total: 6 });
+        // Shards that disagree on an llm.* counter planned different grids.
+        assert!(merge_manifests(vec![with(&base, tel(2, 1)), with(&other, tel(3, 1))]).is_err());
+        // Telemetry on one shard only.
+        assert!(merge_manifests(vec![with(&base, tel(2, 1)), other]).is_err());
     }
 }

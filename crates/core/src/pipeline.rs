@@ -1,8 +1,6 @@
 //! The benchmark pipeline (Figures 6 and 7).
 
-use crate::checkpoint::{
-    self, CellDelta, CellLoad, CellStore, CheckpointSpec, CheckpointStats, Shard,
-};
+use crate::checkpoint::{self, CellLoad, CellStore, CheckpointSpec, CheckpointStats, Shard};
 use crate::measures::{query_measures, QueryMeasures};
 use crate::scheduler;
 use snails_data::SnailsDatabase;
@@ -14,10 +12,10 @@ use snails_llm::generate::mix_seed;
 use snails_llm::resilience::{CellExecution, CellPlan, Planner, ResilienceConfig};
 use snails_llm::{run_cell, GoldQuery, SchemaView, Workflow};
 use snails_naturalness::category::SchemaVariant;
-use snails_obs::{ClockMode, Metric, ObsCtx, Report};
+use snails_obs::{ClockMode, ObsCtx, Report, Snapshot};
 use snails_sql::{extract_identifiers, parse, rename_identifiers, ParseError, Statement};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
@@ -508,11 +506,21 @@ struct WorkItem<'a> {
     /// The cell, with the retry/breaker/fault plan the serial planning
     /// pre-pass computed for it (see [`run_benchmark_on`]).
     cell: CellInput<'a>,
-    qm: &'a QueryMeasures,
+    /// Its question's measures at its variant, shared by the variant's
+    /// workflows and filled by the first record that needs them.
+    qm: &'a OnceLock<QueryMeasures>,
     /// Circuit-breaker trips the planning of *this* cell caused. Attributing
     /// trips to cells (instead of reading the planner's global total) makes
     /// [`FaultSummary`] componentwise-summable over disjoint shards.
     trips: u64,
+}
+
+impl WorkItem<'_> {
+    fn record(&self, outcome: Outcome) -> QueryRecord {
+        let (cell, ids) = (self.cell, &self.cell.gold.query.ids);
+        let measures = self.qm.get_or_init(|| query_measures(cell.db, self.ctx.view.variant, ids));
+        self.ctx.record(cell, outcome, *measures)
+    }
 }
 
 /// An in-shard cell of a (possibly sharded, possibly resumed) run: the work
@@ -546,25 +554,24 @@ pub fn run_benchmark_on(
         })
         .collect();
 
-    // Shared per-(db, question) and per-(db, variant) contexts, with the
-    // per-question naturalness measures of each variant, computed once up
-    // front instead of per grid cell and shared read-only by every worker.
+    // Shared per-(db, question) and per-(db, variant) contexts, built once
+    // up front instead of per grid cell and shared read-only by every
+    // worker. The per-question naturalness measures of each variant are
+    // computed on first use instead: a restored cell carries its own, and
+    // the first computation trains the tokenizer.
     let golds: Vec<Vec<GoldContext>> = dbs
         .iter()
         .map(|db| db.questions.iter().map(|p| gold_context(db, p)).collect())
         .collect();
-    let variants: Vec<Vec<(EvalContext, Vec<QueryMeasures>)>> = dbs
+    let variants: Vec<Vec<(EvalContext, Vec<OnceLock<QueryMeasures>>)>> = dbs
         .iter()
-        .zip(&golds)
-        .map(|(db, golds)| {
+        .map(|db| {
             config
                 .variants
                 .iter()
                 .map(|&variant| {
                     let ctx = EvalContext::new(db, SchemaView::new(db, variant));
-                    let measures =
-                        golds.iter().map(|g| query_measures(db, variant, &g.query.ids)).collect();
-                    (ctx, measures)
+                    (ctx, db.questions.iter().map(|_| OnceLock::new()).collect())
                 })
                 .collect()
         })
@@ -577,16 +584,13 @@ pub fn run_benchmark_on(
     // are resolved here, in grid order, while building the item list — it
     // is pure RNG arithmetic, orders of magnitude cheaper than inference —
     // and each resulting `CellPlan` is a pure input to the parallel phase.
-    // With an inert profile every plan is `CellPlan::clean` and records are
-    // byte-identical to a build without the fault layer.
-    let fault_layer = !config.fault_profile.is_inert();
-    let mut planner = fault_layer.then(|| {
-        Planner::new(ResilienceConfig {
-            profile: config.fault_profile,
-            ..Default::default()
-        })
+    // An inert profile draws no fault, so every plan is one clean attempt
+    // and records are byte-identical to a build without the fault layer.
+    let mut planner = Planner::new(ResilienceConfig {
+        profile: config.fault_profile,
+        ..Default::default()
     });
-    if fault_layer {
+    if !config.fault_profile.is_inert() {
         // Injected panics are expected control flow under fault profiles;
         // keep them out of stderr (real panics still print).
         faults::silence_injected_panics();
@@ -606,31 +610,18 @@ pub fn run_benchmark_on(
         for (ctx, measures) in &variants[di] {
             for &workflow in &config.workflows {
                 for (qi, pair) in db.questions.iter().enumerate() {
-                    let (plan, trips) = match planner.as_mut() {
-                        Some(planner) => {
-                            let cell_seed = mix_seed(
-                                &[
-                                    workflow.display_name(),
-                                    db.spec.name,
-                                    ctx.view.variant.display_name(),
-                                    "fault-cell",
-                                ],
-                                &[config.seed, pair.id as u64],
-                            );
-                            let before = planner.breaker_trips();
-                            let plan =
-                                planner.plan_cell(workflow.display_name(), cell_seed);
-                            (plan, planner.breaker_trips() - before)
-                        }
-                        None => {
-                            // Keep the resilience counters reconcilable
-                            // with `FaultSummary` on every profile: a clean
-                            // cell is one planned cell with one attempt.
-                            snails_obs::add(Metric::LlmCellsPlanned, 1);
-                            snails_obs::add(Metric::LlmResilienceAttempts, 1);
-                            (CellPlan::clean(0), 0)
-                        }
-                    };
+                    let cell_seed = mix_seed(
+                        &[
+                            workflow.display_name(),
+                            db.spec.name,
+                            ctx.view.variant.display_name(),
+                            "fault-cell",
+                        ],
+                        &[config.seed, pair.id as u64],
+                    );
+                    let before = planner.breaker_trips();
+                    let plan = planner.plan_cell(workflow.display_name(), cell_seed);
+                    let trips = planner.breaker_trips() - before;
                     items.push(WorkItem {
                         ctx,
                         cell: CellInput {
@@ -678,10 +669,10 @@ pub fn run_benchmark_on(
         let it = slot.item;
         let opts = ExecOptions { limits: config.limits, ..Default::default() };
         let (outcome, _) = it.ctx.evaluate(it.cell, &plans, opts);
-        it.ctx.record(it.cell, outcome, *it.qm)
+        it.record(outcome)
     };
     // Each cell yields its record plus, when restored from the store under
-    // telemetry, the span rollup of its stored delta (merged below).
+    // telemetry, its stored span rollup (merged below).
     let done = scheduler::run_ordered_observed_keyed(
         &owned,
         threads,
@@ -690,28 +681,28 @@ pub fn run_benchmark_on(
         // resumed runs interleave exactly like the full run's.
         |_, slot| slot.global as u64,
         |_, slot| {
-            let Some(store) = &store else { return (run_cell_slot(slot), Vec::new()) };
-            if let CellLoad::Hit { record, delta } = store.load(slot.global, config.telemetry) {
-                // The stored counters and histograms are sums, so replaying
+            let Some(store) = &store else { return (run_cell_slot(slot), BTreeMap::new()) };
+            if let CellLoad::Hit { record, telemetry } = store.load(slot.global, config.telemetry) {
+                // The stored counters and histograms are sums, so absorbing
                 // them from any worker in any order leaves the registry as
                 // executing the cell would have.
-                let spans = match (&obs, delta) {
-                    (Some(ctx), Some(delta)) => {
-                        delta.replay(&ctx.registry).expect("verified delta replays cleanly");
-                        delta.spans
+                let spans = match (&obs, telemetry) {
+                    (Some(ctx), Some((deterministic, spans))) => {
+                        ctx.registry.absorb(&Snapshot { deterministic, ..Snapshot::default() });
+                        spans
                     }
-                    _ => Vec::new(),
+                    _ => BTreeMap::new(),
                 };
                 return (record, spans);
             }
             let Some(ctx) = &obs else {
                 let record = run_cell_slot(slot);
                 let _ = store.store(slot.global, &record, None);
-                return (record, Vec::new());
+                return (record, BTreeMap::new());
             };
             // Capture this cell's deterministic telemetry in a nested
             // temporary context, persist it alongside the record, then fold
-            // it into the run context — so a future resume can replay the
+            // it into the run context — so a future resume can restore the
             // cell's exact telemetry without re-executing it.
             let temp = Arc::new(ObsCtx::new(ClockMode::Sim));
             let outcome = {
@@ -723,13 +714,13 @@ pub fn run_benchmark_on(
                 })
             };
             let snap = temp.registry.snapshot();
-            let delta = CellDelta::capture(&snap, &temp.tracer.rollup());
+            let spans = temp.tracer.rollup();
             ctx.registry.absorb(&snap);
             ctx.tracer.absorb(temp.tracer.drain_sorted());
             match outcome {
                 Ok(record) => {
-                    let _ = store.store(slot.global, &record, Some(&delta));
-                    (record, Vec::new())
+                    let _ = store.store(slot.global, &record, Some((snap.deterministic, spans)));
+                    (record, BTreeMap::new())
                 }
                 // A panicking cell (an injected fault) is never
                 // checkpointed — its partial telemetry was folded in above
@@ -745,8 +736,7 @@ pub fn run_benchmark_on(
             if !faults::is_injected_panic(payload.as_ref()) {
                 std::panic::resume_unwind(payload);
             }
-            let it = slot.item;
-            (it.ctx.record(it.cell, Outcome::failed(FailureKind::Panic), *it.qm), Vec::new())
+            (slot.item.record(Outcome::failed(FailureKind::Panic)), BTreeMap::new())
         },
     );
 
@@ -754,10 +744,10 @@ pub fn run_benchmark_on(
     let mut records = Vec::with_capacity(done.len());
     for (record, spans) in done {
         if let Some(report) = &mut telemetry {
-            for (name, count, total) in spans {
+            for (name, s) in spans {
                 let stat = report.spans.entry(name).or_default();
-                stat.count += count;
-                stat.total += total;
+                stat.count += s.count;
+                stat.total += s.total;
             }
         }
         records.push(record);

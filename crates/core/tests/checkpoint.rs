@@ -8,8 +8,11 @@
 //! `tests/`, where the `snails` binary is available).
 
 use proptest::prelude::*;
-use snails_core::checkpoint::{fnv1a, manifest_from_run, merge_manifests, CheckpointSpec, Shard};
-use snails_core::pipeline::{run_benchmark_on, BenchmarkConfig, FaultSummary};
+use snails_core::checkpoint::{
+    fnv1a, manifest_from_run, merge_manifests, CellLoad, CellStore, CheckpointSpec, Shard,
+    Telemetry,
+};
+use snails_core::pipeline::{run_benchmark_on, BenchmarkConfig, FaultSummary, QueryRecord};
 use snails_data::SnailsDatabase;
 use snails_llm::faults::FaultProfile;
 use snails_llm::{ModelKind, Workflow};
@@ -180,13 +183,14 @@ fn full_resume_restores_every_cell_without_executing_one() {
     }
 }
 
-/// Cell files of the previous format (`snails-ckpt v1`, which carried a
-/// `sql` line after the record) fail validation as a whole: they are
-/// quarantined and their cells recomputed, never parsed as current records.
+/// Cell files of the previous format (`snails-ckpt v2`, whose telemetry
+/// followed a `tel <n>` count line as lowercase `tc`/`th`/`ts` lines) fail
+/// validation as a whole: they are quarantined and their cells recomputed,
+/// never parsed as current records.
 #[test]
 fn previous_format_cell_files_are_quarantined_and_recomputed() {
     let dbs = collection();
-    let dir = scratch("v1");
+    let dir = scratch("v2");
     let cfg = BenchmarkConfig {
         checkpoint: Some(CheckpointSpec::at(&dir)),
         ..small_config(FaultProfile::NONE)
@@ -195,24 +199,23 @@ fn previous_format_cell_files_are_quarantined_and_recomputed() {
     let files = cell_files(&dir);
     let downgraded: Vec<&PathBuf> = files.iter().step_by(7).collect();
     for path in &downgraded {
-        // Rewrite the file as v1 would have: old header, a `sql` line after
-        // the record, and a valid checksum over the whole body.
+        // Rewrite the file as v2 wrote it: old header, the telemetry count
+        // line, lowercase telemetry tags, and a valid checksum over the
+        // whole body.
         let text = std::fs::read_to_string(path).unwrap();
         let body = &text[..text.rfind("sum ").unwrap()];
-        let mut v1 = String::new();
-        for line in body.lines() {
-            if line == "snails-ckpt v2" {
-                v1.push_str("snails-ckpt v1\n");
-                continue;
-            }
-            v1.push_str(line);
-            v1.push('\n');
-            if line.starts_with("rec ") {
-                v1.push_str("sql SELECT\\_1\n");
-            }
+        let (head, tel): (Vec<&str>, Vec<&str>) =
+            body.lines().partition(|line| !line.starts_with('T'));
+        assert_eq!(head[0], "snails-ckpt v3");
+        assert!(tel.iter().any(|l| l.starts_with("TS cell ")), "{text}");
+        let mut v2 = format!("snails-ckpt v2\n{}\ntel {}\n", head[1..].join("\n"), tel.len());
+        for line in tel {
+            v2.push_str(&line[..2].to_lowercase());
+            v2.push_str(&line[2..]);
+            v2.push('\n');
         }
-        let sum = fnv1a(v1.as_bytes());
-        std::fs::write(path, format!("{v1}sum {sum:016x}\n")).unwrap();
+        let sum = fnv1a(v2.as_bytes());
+        std::fs::write(path, format!("{v2}sum {sum:016x}\n")).unwrap();
     }
 
     let resumed = run_benchmark_on(&dbs, &cfg);
@@ -422,24 +425,23 @@ proptest! {
     }
 }
 
-#[test]
-fn stored_record_fuzz_never_panics_and_never_lies() {
+/// 512 truncations, bit flips and insertions of one stored cell file: the
+/// store must quarantine every mutated file and restore only the pristine
+/// one, with the record and telemetry that were stored.
+fn fuzz_stored_cell(tag: &str, record: &QueryRecord, telemetry: Option<Telemetry>) {
     use proptest::test_runner::TestRng;
-    use snails_core::checkpoint::{CellLoad, CellStore};
 
-    let dir = scratch("fuzz");
+    let dir = scratch(tag);
     let spec = CheckpointSpec::at(&dir);
     let store = CellStore::open(&spec, 0xfeed_f00d).unwrap();
-
-    // One real record to vandalize, produced by the actual pipeline.
-    let dbs = collection();
-    let mut cfg = small_config(FaultProfile::NONE);
-    cfg.telemetry = false;
-    let run = run_benchmark_on(&dbs, &cfg);
-    let record = run.records[0].clone();
-    store.store(3, &record, None).unwrap();
+    let need_telemetry = telemetry.is_some();
+    store.store(3, record, telemetry).unwrap();
     let path = cell_files(&dir)[0].clone();
     let pristine = std::fs::read(&path).unwrap();
+    let CellLoad::Hit { telemetry: stored, .. } = store.load(3, need_telemetry) else {
+        panic!("the pristine file must verify");
+    };
+    assert_eq!(stored.is_some(), need_telemetry);
 
     let mut rng = TestRng::new(0x5eed);
     for case in 0..512u32 {
@@ -456,15 +458,16 @@ fn stored_record_fuzz_never_panics_and_never_lies() {
             }
         }
         std::fs::write(&path, &bytes).unwrap();
-        match store.load(3, false) {
+        match store.load(3, need_telemetry) {
             // Only identical bytes may verify (truncation at the full
             // length is the one mutation that is a no-op).
-            CellLoad::Hit { record: r, .. } => {
+            CellLoad::Hit { record: r, telemetry } => {
                 assert_eq!(
                     bytes, pristine,
                     "case {case}: a mutated record must never verify"
                 );
-                assert_eq!(r, record);
+                assert_eq!(&r, record);
+                assert_eq!(telemetry, stored);
             }
             CellLoad::Corrupt => {
                 assert_ne!(bytes, pristine, "case {case}: pristine record rejected");
@@ -474,5 +477,27 @@ fn stored_record_fuzz_never_panics_and_never_lies() {
         std::fs::write(&path, &pristine).unwrap();
     }
     // The pristine record still verifies after the whole gauntlet.
-    assert!(matches!(store.load(3, false), CellLoad::Hit { .. }));
+    assert!(matches!(store.load(3, need_telemetry), CellLoad::Hit { .. }));
+}
+
+/// One real record to vandalize, produced by the actual pipeline, with the
+/// run's telemetry.
+fn fuzz_input() -> (QueryRecord, Telemetry) {
+    let run = run_benchmark_on(&collection(), &small_config(FaultProfile::NONE));
+    let report = run.telemetry.expect("telemetry run");
+    (run.records[0].clone(), (report.metrics.deterministic, report.spans))
+}
+
+#[test]
+fn stored_record_fuzz_never_panics_and_never_lies() {
+    fuzz_stored_cell("fuzz", &fuzz_input().0, None);
+}
+
+/// The same gauntlet over a cell stored with telemetry, so the mutations
+/// also land on the `TC`/`TH`/`TS` lines whose codec manifests share.
+#[test]
+fn stored_telemetry_fuzz_never_panics_and_never_lies() {
+    let (record, telemetry) = fuzz_input();
+    assert!(!telemetry.0.histograms.is_empty() && !telemetry.1.is_empty());
+    fuzz_stored_cell("fuzz-tel", &record, Some(telemetry));
 }

@@ -1707,6 +1707,10 @@ mod tests {
             "SELECT z.* FROM t",
             "SELECT SUM(name) FROM t",
             "SELECT name FROM t WHERE id LIKE 'x'",
+            // Join keys that overflow on the probe side, then the build
+            // side: the scalar runner's hash join raises the error.
+            "SELECT t.name FROM t JOIN u ON t.id * 9223372036854775807 = u.t_id",
+            "SELECT t.name FROM t JOIN u ON t.id = u.t_id * 9223372036854775807",
         ] {
             check(&db, sql);
         }

@@ -1,6 +1,8 @@
 //! Budget trip points with memoized subqueries. Uncorrelated `IN`,
-//! `EXISTS` and scalar subqueries evaluated once per outer row, and a hash
-//! join, run under every `max_steps` and every `max_join_rows` from zero
+//! `EXISTS` and scalar subqueries evaluated once per outer row, and hash
+//! joins (one on a key whose `1 / 0` arm never runs, which the vector
+//! kernels cannot prove error-free and so leave to the scalar runner's
+//! join), run under every `max_steps` and every `max_join_rows` from zero
 //! to one past what the statement needs, and under no limits at all. The
 //! sweep trips a budget during a block's first run, during its 1st, 2nd
 //! and k-th replay from the per-execution memo, partway through a join
@@ -78,6 +80,12 @@ const STATEMENTS: &[(&str, &str, bool)] = &[
     (
         "hash join on generic keys",
         "SELECT t.x, u.y FROM t JOIN u ON t.g = u.g AND u.g = 1 ORDER BY t.x, u.y",
+        false,
+    ),
+    (
+        "hash join on keys only the scalar runner evaluates",
+        "SELECT t.x, u.y FROM t JOIN u ON CASE WHEN t.g >= 0 THEN t.g ELSE 1 / 0 END = u.g \
+         ORDER BY t.x, u.y",
         false,
     ),
     (

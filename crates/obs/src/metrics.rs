@@ -157,12 +157,12 @@ impl Registry {
     /// the absorbed value is nonzero, so an untouched gauge cannot clobber
     /// a live one).
     ///
-    /// This is the primitive behind checkpoint restore (replaying a stored
-    /// per-cell delta into the live run's registry) and per-cell capture
-    /// (folding a temporary cell-scoped registry back into the main one):
-    /// because every update is an atomic add of the recorded totals, a
-    /// registry that executed a cell and a registry that absorbed the
-    /// cell's stored delta hold identical values.
+    /// This is the primitive behind checkpoint restore (adding a stored
+    /// cell's deterministic section to the live run's registry) and
+    /// per-cell capture (folding a temporary cell-scoped registry back into
+    /// the main one): because every update is an atomic add of the recorded
+    /// totals, a registry that executed a cell and a registry that absorbed
+    /// the cell's stored section hold identical values.
     pub fn absorb(&self, snap: &Snapshot) {
         for section in [&snap.deterministic, &snap.assembly, &snap.volatile] {
             for (name, v) in &section.counters {
@@ -191,7 +191,7 @@ impl Registry {
 
     /// Add a histogram snapshot's buckets/count/sum directly into the slot
     /// (bypassing per-sample bucketing — the snapshot already bucketed).
-    pub fn absorb_hist(&self, m: Metric, h: &HistSnapshot) {
+    fn absorb_hist(&self, m: Metric, h: &HistSnapshot) {
         match &self.slots[m as usize] {
             Slot::Hist(slot) => {
                 for (bucket, &c) in slot.buckets.iter().zip(&h.counts) {
@@ -296,7 +296,8 @@ impl Section {
     ///
     /// Summation is commutative and associative, so merging shard sections
     /// in any order or grouping yields identical bytes — the property the
-    /// deterministic-merge gate relies on.
+    /// shard-manifest merge (`snails_core::checkpoint::merge_manifests`)
+    /// and its byte-compare gate rely on.
     pub fn merge(&mut self, other: &Section) {
         for (k, v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;

@@ -93,14 +93,17 @@ echo "==> checkpoint kill/resume smoke (SIGKILL mid-grid, resume, byte-compare)"
 # Crash-recovery smoke: run the grid with a deterministic abort injected
 # after 200 checkpoint writes, resume from the surviving store on a
 # different worker count (the restore runs inside the parallel pass), and
-# byte-compare the resumed manifest against an uninterrupted run. Also
-# merges a 2-way shard split into the same bytes.
+# byte-compare the resumed manifest against an uninterrupted run. Every run
+# carries --telemetry, so the compares also cover the telemetry lines the
+# cell files store, their restore, and the shard merge's section fold. A
+# second resume over the completed store must restore every cell and write
+# none. Also merges a 2-way shard split into the same bytes.
 ckpt_dir=$(mktemp -d)
 manifest_dir=$(mktemp -d)
 trap 'rm -f "$telemetry_out"; rm -rf "$ckpt_dir" "$manifest_dir"' EXIT
 snails=./target/release/snails
-"$snails" grid --threads 4 --out "$manifest_dir/clean.txt" 2> /dev/null
-if "$snails" grid --threads 4 --ckpt "$ckpt_dir" --kill-after 200 \
+"$snails" grid --telemetry --threads 4 --out "$manifest_dir/clean.txt" 2> /dev/null
+if "$snails" grid --telemetry --threads 4 --ckpt "$ckpt_dir" --kill-after 200 \
         --out "$manifest_dir/killed.txt" 2> /dev/null; then
     echo "error: --kill-after 200 run was expected to abort mid-grid" >&2
     exit 1
@@ -109,20 +112,33 @@ fi
     echo "error: killed run should not have produced a manifest" >&2
     exit 1
 }
-"$snails" grid --threads 2 --ckpt "$ckpt_dir" --out "$manifest_dir/resumed.txt" 2> /dev/null
+"$snails" grid --telemetry --threads 2 --ckpt "$ckpt_dir" --out "$manifest_dir/resumed.txt" 2> /dev/null
 cmp -s "$manifest_dir/clean.txt" "$manifest_dir/resumed.txt" || {
     echo "error: resumed manifest differs from the uninterrupted run" >&2
     exit 1
 }
-"$snails" grid --threads 2 --shard 0/2 --out "$manifest_dir/s0.txt" 2> /dev/null
-"$snails" grid --threads 8 --shard 1/2 --out "$manifest_dir/s1.txt" 2> /dev/null
+"$snails" grid --telemetry --threads 2 --ckpt "$ckpt_dir" --out "$manifest_dir/restored.txt" \
+    2> "$manifest_dir/restored.log"
+cmp -s "$manifest_dir/clean.txt" "$manifest_dir/restored.txt" || {
+    echo "error: fully restored manifest differs from the uninterrupted run" >&2
+    exit 1
+}
+python3 - "$manifest_dir/restored.log" <<'PY'
+import json, sys
+done = json.loads(next(l for l in open(sys.argv[1]) if l.startswith('{"grid":"done"')))
+ckpt = done["checkpoint"]
+assert ckpt["hits"] == done["cells"] and ckpt["misses"] == ckpt["corrupt"] == ckpt["written"] == 0, (
+    f"a resume over the completed store did not restore every cell: {done}")
+PY
+"$snails" grid --telemetry --threads 2 --shard 0/2 --out "$manifest_dir/s0.txt" 2> /dev/null
+"$snails" grid --telemetry --threads 8 --shard 1/2 --out "$manifest_dir/s1.txt" 2> /dev/null
 "$snails" merge --out "$manifest_dir/merged.txt" \
     "$manifest_dir/s1.txt" "$manifest_dir/s0.txt" 2> /dev/null
 cmp -s "$manifest_dir/clean.txt" "$manifest_dir/merged.txt" || {
     echo "error: 2-way shard merge differs from the single-process run" >&2
     exit 1
 }
-echo "    kill@200 resume and 2-way shard merge both byte-identical"
+echo "    kill@200 resume, full restore and 2-way shard merge all byte-identical"
 
 echo "==> snails grid --fault-profile flaky (every cell a record; 1 and 8 threads byte-identical)"
 # The flaky profile drives the resilience layer: retries, breaker trips,
