@@ -9,7 +9,7 @@ use snails_eval::{audit_statements, match_result_sets, query_linking, LinkingSco
 
 use snails_llm::faults::{self, FailureKind, FaultProfile};
 use snails_llm::generate::mix_seed;
-use snails_llm::resilience::{CellExecution, CellPlan, Planner, ResilienceConfig};
+use snails_llm::resilience::{CellExecution, CellPlan, Planner};
 use snails_llm::{run_cell, GoldQuery, SchemaView, Workflow};
 use snails_naturalness::category::SchemaVariant;
 use snails_obs::{ClockMode, ObsCtx, Report, Snapshot};
@@ -586,10 +586,7 @@ pub fn run_benchmark_on(
     // and each resulting `CellPlan` is a pure input to the parallel phase.
     // An inert profile draws no fault, so every plan is one clean attempt
     // and records are byte-identical to a build without the fault layer.
-    let mut planner = Planner::new(ResilienceConfig {
-        profile: config.fault_profile,
-        ..Default::default()
-    });
+    let mut planner = Planner::new(config.fault_profile);
     if !config.fault_profile.is_inert() {
         // Injected panics are expected control flow under fault profiles;
         // keep them out of stderr (real panics still print).

@@ -35,12 +35,16 @@
 //!
 //! What the vector kernels cannot prove error-free (a subquery, an
 //! outer-row reference, a frozen plan-time error, a row-level kernel
-//! error, a non-equi or cross join) bails out with `Unvec` to the
-//! row-at-a-time fallbacks of the per-execution plan `Runner` — scalar
-//! evaluation, the block tail, and the hash and nested-loop joins — which
-//! evaluate under the enclosing row and reproduce the interpreter's
-//! results, errors, and budget charges byte for byte. The runner runs no
-//! block itself.
+//! error) bails out with `Unvec` to the row-at-a-time fallbacks of the
+//! per-execution plan `Runner` — scalar evaluation and the block tail —
+//! which evaluate under the enclosing row and reproduce the interpreter's
+//! results, errors, and budget charges byte for byte; non-equi and cross
+//! joins run its nested loop. Every equi join runs the one vectorized
+//! build/probe: a side whose keys the kernels abort on evaluates them row
+//! by row through the runner's scalar evaluation, and a key that raises
+//! surfaces at the interpreter's charge. Compiled plans thus have one hash
+//! join, one nested loop and one block finish. The runner runs no block
+//! itself.
 //!
 //! The AST interpreter ([`execute_with`], behind [`run_sql`] and
 //! [`run_sql_with`]) is the differential-testing oracle. Only tests,

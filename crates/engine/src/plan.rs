@@ -826,13 +826,51 @@ struct MemoBlock {
     join_rows: u64,
 }
 
+/// The end of every block tail, shared by [`Runner::tail`] and the
+/// vectorized tail: observe the projected rows, then `DISTINCT`, the stable
+/// `ORDER BY` and `TOP`, in the interpreter's order. Each projected row
+/// travels with its `ORDER BY` key values.
+pub(crate) fn finish_block(
+    sel: &CSelect,
+    columns: &[String],
+    mut projected: Vec<(Vec<Value>, Vec<Value>)>,
+) -> ResultSet {
+    snails_obs::observe(Obs::EngineOpProjectRows, projected.len() as u64);
+    if sel.distinct {
+        let mut seen: HashSet<Vec<HashKey>> = HashSet::new();
+        projected.retain(|(row, _)| seen.insert(row.iter().map(Value::hash_key).collect()));
+    }
+    if !sel.order_by.is_empty() {
+        snails_obs::observe(Obs::EngineOpSortRows, projected.len() as u64);
+        projected.sort_by(|(_, ka), (_, kb)| {
+            for (i, (_, desc)) in sel.order_by.iter().enumerate() {
+                let ord = ka[i].total_cmp(&kb[i]);
+                let ord = if *desc { ord.reverse() } else { ord };
+                if ord != std::cmp::Ordering::Equal {
+                    return ord;
+                }
+            }
+            std::cmp::Ordering::Equal
+        });
+    }
+    let mut rows: Vec<Vec<Value>> = projected.into_iter().map(|(row, _)| row).collect();
+    if let Some(n) = sel.top {
+        rows.truncate(n as usize);
+    }
+    ResultSet {
+        columns: columns.to_vec(),
+        rows,
+    }
+}
+
 /// Per-execution state of one compiled statement — the budget meter, the
 /// subquery memo, and the buffer pool — plus the row-at-a-time fallbacks
 /// the vectorized block loop ([`crate::vector`]) delegates to: scalar
-/// evaluation ([`Self::eval`], [`Self::eval_grouped`]), the block tail
-/// ([`Self::tail`]), the scalar joins ([`Self::hash_join`],
-/// [`Self::nested_join`]) and subquery evaluation
-/// ([`Self::run_subquery`]). The runner runs no query block itself.
+/// evaluation ([`Self::eval`], [`Self::eval_grouped`]; join keys the
+/// vector kernels abort on evaluate through it too), the block tail
+/// ([`Self::tail`]), the nested-loop join ([`Self::nested_join`]) and
+/// subquery evaluation ([`Self::run_subquery`]). The runner runs no query
+/// block and no hash join itself.
 pub(crate) struct Runner<'a> {
     pub(crate) db: &'a Database,
     pub(crate) opts: ExecOptions,
@@ -999,136 +1037,7 @@ impl<'a> Runner<'a> {
             }
             projected.push((out_row, keys));
         }
-        snails_obs::observe(Obs::EngineOpProjectRows, projected.len() as u64);
-
-        // DISTINCT.
-        if sel.distinct {
-            let mut seen: HashSet<Vec<HashKey>> = HashSet::new();
-            projected.retain(|(row, _)| seen.insert(row.iter().map(Value::hash_key).collect()));
-        }
-
-        // ORDER BY (stable).
-        if !sel.order_by.is_empty() {
-            snails_obs::observe(Obs::EngineOpSortRows, projected.len() as u64);
-            projected.sort_by(|(_, ka), (_, kb)| {
-                for (i, (_, desc)) in sel.order_by.iter().enumerate() {
-                    let ord = ka[i].total_cmp(&kb[i]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        // TOP.
-        let mut out_rows: Vec<Vec<Value>> = projected.into_iter().map(|(r, _)| r).collect();
-        if let Some(n) = sel.top {
-            out_rows.truncate(n as usize);
-        }
-
-        Ok(ResultSet { columns: out_columns.clone(), rows: out_rows })
-    }
-
-    /// Build/probe hash join — identical structure, charge points, and
-    /// output order to the interpreter's `hash_join`.
-    pub(crate) fn hash_join(
-        &self,
-        sel: &CSelect,
-        left: Vec<Vec<Value>>,
-        right: Vec<Vec<Value>>,
-        join: &CJoin,
-        keys: &[(ExprId, ExprId)],
-        outer: Option<&Frame<'_>>,
-    ) -> Result<Vec<Vec<Value>>, EngineError> {
-        let left_width = join.left_width;
-        let right_width = join.source.width();
-        let mut rows = Vec::new();
-
-        // One side's key tuple; `None` marks an unmatchable key (NULL/NaN).
-        let side_key = |row: &[Value], pick: fn(&(ExprId, ExprId)) -> ExprId| {
-            let frame = Frame { row, parent: outer };
-            let mut key = Vec::with_capacity(keys.len());
-            for k in keys {
-                let v = self.eval(sel, pick(k), &frame)?;
-                if v.is_null() || matches!(v, Value::Float(x) if x.is_nan()) {
-                    return Ok(None);
-                }
-                key.push(v.hash_key());
-            }
-            Ok::<_, EngineError>(Some(key))
-        };
-        let left_key = |row: &[Value]| side_key(row, |k| k.0);
-        let right_key = |row: &[Value]| side_key(row, |k| k.1);
-
-        match join.kind {
-            JoinKind::Inner | JoinKind::Left | JoinKind::Full => {
-                let mut table: HashMap<Vec<HashKey>, Vec<usize>> = HashMap::new();
-                self.meter.charge_join(right.len() as u64)?;
-                for (ri, r) in right.iter().enumerate() {
-                    if let Some(k) = right_key(r)? {
-                        table.entry(k).or_default().push(ri);
-                    }
-                }
-                let mut right_matched = vec![false; right.len()];
-                for l in &left {
-                    let hits: &[usize] = match left_key(l)? {
-                        Some(k) => table.get(&k).map(Vec::as_slice).unwrap_or(&[]),
-                        None => &[],
-                    };
-                    self.meter.charge_join(1 + hits.len() as u64)?;
-                    for &ri in hits {
-                        let mut combined = l.clone();
-                        combined.extend(right[ri].iter().cloned());
-                        rows.push(combined);
-                        right_matched[ri] = true;
-                    }
-                    if hits.is_empty() && join.kind != JoinKind::Inner {
-                        let mut combined = l.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                        rows.push(combined);
-                    }
-                }
-                if join.kind == JoinKind::Full {
-                    for (ri, r) in right.iter().enumerate() {
-                        if !right_matched[ri] {
-                            let mut combined = vec![Value::Null; left_width];
-                            combined.extend(r.iter().cloned());
-                            rows.push(combined);
-                        }
-                    }
-                }
-            }
-            JoinKind::Right => {
-                let mut table: HashMap<Vec<HashKey>, Vec<usize>> = HashMap::new();
-                self.meter.charge_join(left.len() as u64)?;
-                for (li, l) in left.iter().enumerate() {
-                    if let Some(k) = left_key(l)? {
-                        table.entry(k).or_default().push(li);
-                    }
-                }
-                for r in &right {
-                    let hits: &[usize] = match right_key(r)? {
-                        Some(k) => table.get(&k).map(Vec::as_slice).unwrap_or(&[]),
-                        None => &[],
-                    };
-                    self.meter.charge_join(1 + hits.len() as u64)?;
-                    for &li in hits {
-                        let mut combined = left[li].clone();
-                        combined.extend(r.iter().cloned());
-                        rows.push(combined);
-                    }
-                    if hits.is_empty() {
-                        let mut combined = vec![Value::Null; left_width];
-                        combined.extend(r.iter().cloned());
-                        rows.push(combined);
-                    }
-                }
-            }
-            JoinKind::Cross => unreachable!("cross joins never take the hash path"),
-        }
-        Ok(rows)
+        Ok(finish_block(sel, out_columns, projected))
     }
 
     pub(crate) fn nested_join(
@@ -1511,7 +1420,8 @@ impl<'a> Runner<'a> {
 /// Normalization is token-stream based ([`snails_sql::cache_key`]), so the
 /// same statement modulo whitespace, keyword case, and comments hits one
 /// entry. Statements that fail to lex/parse/compile are never cached — the
-/// error is recomputed per call, matching the uncached path exactly.
+/// error is recomputed per call, matching the uncached path exactly — and
+/// neither are statements longer than 4,096 bytes (`MAX_CACHED_SQL`).
 ///
 /// Intended lifetime: one cache per `(database, variant)` evaluation
 /// context, created after any DDL (view installation) is applied, since
@@ -1525,6 +1435,14 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
 }
+
+/// Longest statement, in bytes, whose plan a [`PlanCache`] keeps. Cache
+/// keys keep literals, so a cached plan's memory grows with its statement;
+/// a longer statement compiles on every call and counts as a miss. This
+/// bounds a cache of `capacity` plans in bytes as well as in count. It sits
+/// far above any real statement: the longest of the 503 gold statements is
+/// 206 bytes, and the longest a grid pass plans is about 210.
+pub(crate) const MAX_CACHED_SQL: usize = 4096;
 
 /// Map plus FIFO insertion order, updated together under one lock.
 #[derive(Debug, Default)]
@@ -1563,6 +1481,14 @@ impl PlanCache {
 
     /// Fetch or compile the plan for `sql` against `db`.
     pub fn plan(&self, db: &Database, sql: &str) -> Result<Arc<CompiledPlan>, EngineError> {
+        if sql.len() > MAX_CACHED_SQL {
+            self.misses.fetch_add(1, AtomicOrdering::Relaxed);
+            snails_obs::add(Obs::EnginePlanCacheMiss, 1);
+            let stmt = snails_sql::parse(sql).map_err(EngineError::from_parse)?;
+            let plan = Arc::new(compile(db, &stmt)?);
+            snails_obs::add(Obs::EnginePlanCompile, 1);
+            return Ok(plan);
+        }
         let Some(norm) = snails_sql::cache_key(sql) else {
             // Unlexable input: fall through to the parser for its exact
             // error (never cached).
@@ -1708,7 +1634,8 @@ mod tests {
             "SELECT SUM(name) FROM t",
             "SELECT name FROM t WHERE id LIKE 'x'",
             // Join keys that overflow on the probe side, then the build
-            // side: the scalar runner's hash join raises the error.
+            // side: that side evaluates its keys row by row, and the
+            // vectorized join raises the error where the interpreter does.
             "SELECT t.name FROM t JOIN u ON t.id * 9223372036854775807 = u.t_id",
             "SELECT t.name FROM t JOIN u ON t.id = u.t_id * 9223372036854775807",
         ] {
@@ -1754,6 +1681,39 @@ mod tests {
         // Different literal: distinct plan.
         cache.run(&db, "SELECT id FROM t WHERE id = 2", ExecOptions::default()).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
+    fn over_long_statements_answer_but_are_never_cached() {
+        let db = db();
+        let cache = PlanCache::new();
+        let sql_of_len = |len: usize| {
+            let sql = format!(
+                "SELECT id FROM t WHERE '' = 'z' OR id = 1{}",
+                " ".repeat(len)
+            );
+            sql[..len].to_owned()
+        };
+        let longest = sql_of_len(MAX_CACHED_SQL);
+        cache.run(&db, &longest, ExecOptions::default()).unwrap();
+        assert_eq!(
+            (cache.misses(), cache.len()),
+            (1, 1),
+            "the cap itself is cached"
+        );
+        let over = format!(
+            "SELECT id FROM t WHERE '{}' = 'z' OR id = 1",
+            "x".repeat(MAX_CACHED_SQL)
+        );
+        for call in 1..=3 {
+            check(&db, &over);
+            let rs = cache.run(&db, &over, ExecOptions::default()).unwrap();
+            assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
+            assert_eq!(
+                (cache.hits(), cache.misses(), cache.len()),
+                (0, 1 + call, 1)
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!    frozen plan-time error, or any per-row kernel error (overflow, type
 //!    error) — aborts the vector attempt with [`Unvec`], and the affected
 //!    scope is re-run through the [`Runner`]'s row-at-a-time fallbacks
-//!    under the `outer` frame; they mirror the interpreter arm by arm.
+//!    under the `outer` frame; they mirror the interpreter arm by arm. A
+//!    join side whose keys abort evaluates them row by row through
+//!    `Runner::eval` and still joins on the one vectorized build/probe.
 //!    Because vector evaluation is unmasked (it evaluates both `AND`/`OR`
 //!    arms, every `CASE` branch, every `IN` list item), it evaluates a
 //!    superset of what the short-circuiting scalar path evaluates, so every
@@ -57,8 +59,8 @@ use crate::exec::{
     scalar_fn, truth,
 };
 use crate::plan::{
-    AggArg, CArg, CExpr, CItem, CJoin, COrder, CSelect, CSource, CUnit, ExprId, Frame, GExpr,
-    Runner,
+    finish_block, AggArg, CArg, CExpr, CItem, CJoin, COrder, CSelect, CSource, CUnit, ExprId,
+    Frame, GExpr, Runner,
 };
 use crate::result::ResultSet;
 use crate::value::{HashKey, Value};
@@ -115,7 +117,7 @@ impl Rel {
         }
     }
 
-    /// Columnarize materialized rows (derived tables, join fallbacks).
+    /// Columnarize materialized rows (derived tables, nested-loop joins).
     fn from_rows(width: usize, rows: &[Vec<Value>]) -> Rel {
         Rel::from_set(Arc::new(ColumnSet::from_rows(width, rows)))
     }
@@ -445,9 +447,9 @@ impl VKey {
         VKey::Num(x.to_bits())
     }
 
-    /// Unmatchable as a *join* key (NULL or NaN), mirroring the row hash
-    /// join's `side_key`. Group keys have no such rule — NULL groups with
-    /// itself and NaN groups by bit pattern, as in [`Value::hash_key`].
+    /// Unmatchable as a *join* key (NULL or NaN), mirroring the
+    /// interpreter's `side_key`. Group keys have no such rule — NULL groups
+    /// with itself and NaN groups by bit pattern, as in [`Value::hash_key`].
     fn unmatchable(&self) -> bool {
         match self {
             VKey::Null => true,
@@ -496,15 +498,20 @@ type FastMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<U64Hasher>>;
 /// live key.
 const DEAD_KEY: u64 = u64::MAX;
 
+/// The key component of one scalar value.
+fn value_key(v: &Value) -> VKey {
+    match v {
+        Value::Null => VKey::Null,
+        Value::Int(n) => VKey::num(*n as f64),
+        Value::Float(x) => VKey::num(*x),
+        Value::Str(s) => VKey::Str(Arc::from(s.to_ascii_lowercase())),
+    }
+}
+
 /// The key component at selection position `i`.
 fn key_at(col: &VCol, i: usize) -> VKey {
     match col {
-        VCol::Const(v) => match v {
-            Value::Null => VKey::Null,
-            Value::Int(n) => VKey::num(*n as f64),
-            Value::Float(x) => VKey::num(*x),
-            Value::Str(s) => VKey::Str(Arc::from(s.to_ascii_lowercase())),
-        },
+        VCol::Const(v) => value_key(v),
         VCol::I64 { vals, valid } => {
             if valid.get(i) {
                 VKey::num(vals[i] as f64)
@@ -526,12 +533,7 @@ fn key_at(col: &VCol, i: usize) -> VKey {
                 VKey::Null
             }
         }
-        VCol::Vals(vals) => match &vals[i] {
-            Value::Null => VKey::Null,
-            Value::Int(n) => VKey::num(*n as f64),
-            Value::Float(x) => VKey::num(*x),
-            Value::Str(s) => VKey::Str(Arc::from(s.to_ascii_lowercase())),
-        },
+        VCol::Vals(vals) => value_key(&vals[i]),
     }
 }
 
@@ -1333,11 +1335,14 @@ fn filter_sel(
 // ---------------------------------------------------------------------------
 
 /// One join step: load the right side, then join it to `left`. Equi-key
-/// joins run the vectorized build/probe over row ids; everything else
-/// (non-equi `ON`, cross joins, keys the vector kernels cannot prove
-/// error-free) materializes both sides and delegates to the scalar
-/// runner's join under `outer`, whose charge/error interleaving is the
-/// interpreter's.
+/// joins run the build/probe of [`hash_join_vec`] over row ids on each
+/// side's keys, evaluated by the vector kernels ([`side_keys`]) or, on a
+/// side they abort on, row by row ([`scalar_side_keys`]). A key that
+/// raises surfaces where the interpreter raises it: a build-side error
+/// right after the build charge, a probe-side error after the charges of
+/// the probe rows before it. Non-equi `ON`s and cross joins materialize
+/// both sides and delegate to the scalar runner's nested loop under
+/// `outer`, whose charge/error interleaving is the interpreter's.
 fn join_step(
     r: &Runner<'_>,
     sel: &CSelect,
@@ -1348,22 +1353,36 @@ fn join_step(
     outer: Option<&Frame<'_>>,
 ) -> Result<Rel, EngineError> {
     let right = load_source(r, &join.source, batch)?;
-    let width = join.left_width + join.source.width();
     if let (Some(keys), Some(_)) = (&join.hash_keys, join.on) {
-        let lk = side_keys(sel, &left, keys, true, batch, flags, &r.pool);
-        let rk = side_keys(sel, &right, keys, false, batch, flags, &r.pool);
-        if let (Some(lk), Some(rk)) = (lk, rk) {
-            return hash_join_vec(r, left, right, join, lk, rk);
+        // `equi_join_keys` admits no subquery, aggregate or outer-row
+        // column into a key, so evaluating keys charges nothing and both
+        // sides evaluate before the join's first charge.
+        let (lk, left_err) = match side_keys(sel, &left, keys, true, batch, flags, &r.pool) {
+            Some(k) => (k, None),
+            None => scalar_side_keys(r, sel, &left, keys, true, outer),
+        };
+        let (rk, right_err) = match side_keys(sel, &right, keys, false, batch, flags, &r.pool) {
+            Some(k) => (k, None),
+            None => scalar_side_keys(r, sel, &right, keys, false, outer),
+        };
+        let (build_len, build_err, probe_err) = match join.kind {
+            JoinKind::Right => (left.len, left_err, right_err),
+            _ => (right.len, right_err, left_err),
+        };
+        if let Some(e) = build_err {
+            r.meter.charge_join(build_len as u64)?;
+            return Err(e);
         }
-        // Key evaluation needs the scalar runner: delegate the whole
-        // join before any charge, so accounting replays exactly.
-        let lrows = left.materialize_all();
-        let rrows = right.materialize_all();
-        left.recycle(&r.pool);
-        right.recycle(&r.pool);
-        let rows = r.hash_join(sel, lrows, rrows, join, keys, outer)?;
-        return Ok(Rel::from_rows(width, &rows));
+        let joined = hash_join_vec(r, left, right, join, lk, rk)?;
+        if let Some(e) = probe_err {
+            // The probe keys stop at the raising row, so the join charged
+            // the build side and the probe rows before it: raise now.
+            joined.recycle(&r.pool);
+            return Err(e);
+        }
+        return Ok(joined);
     }
+    let width = join.left_width + join.source.width();
     let lrows = left.materialize_all();
     let rrows = right.materialize_all();
     left.recycle(&r.pool);
@@ -1489,13 +1508,16 @@ impl SideKeys {
     }
 }
 
-/// Evaluate one side's key tuples, batch at a time. `None` aborts to the
-/// scalar join (subquery in a key, or any row-level evaluation error);
-/// evaluation is pure, so aborting is free. Single-column keys stay in
-/// their typed form — numeric bit patterns or dictionary codes — for the
-/// code-space join loops; composite or mixed-shape keys degrade to
-/// [`SideKeys::Gen`], whose `None` entries mark unmatchable keys
-/// (NULL/NaN component), as in [`Runner::hash_join`]'s `side_key`.
+/// Evaluate one side's key tuples, batch at a time. `None` when the
+/// kernels abort (a frozen error in a key, or any row-level evaluation
+/// error, even in a `CASE` arm or key component the scalar path would
+/// skip); evaluation is pure, so aborting is free, and the caller
+/// evaluates the side row by row instead ([`scalar_side_keys`]).
+/// Single-column keys stay in their typed form — numeric bit patterns or
+/// dictionary codes — for the code-space join loops; composite or
+/// mixed-shape keys degrade to [`SideKeys::Gen`], whose `None` entries
+/// mark unmatchable keys (NULL/NaN component), as in the interpreter's
+/// `side_key`.
 fn side_keys(
     sel: &CSelect,
     rel: &Rel,
@@ -1585,9 +1607,48 @@ fn append_gen(out: &mut Vec<Option<JoinKey>>, cols: &[VCol], n: usize) {
     }
 }
 
-/// Build/probe hash join over row ids — identical structure, charge points,
-/// and emission order to [`Runner::hash_join`], with keys pre-evaluated
-/// (and pre-proven error-free) by [`side_keys`]. Each key column pairs
+/// One side's keys evaluated row by row with the scalar evaluator, for a
+/// side whose keys the vector kernels abort on — the interpreter's
+/// `side_key`: components in order, and the first NULL or NaN makes the
+/// key unmatchable without evaluating the rest. Evaluation stops at the
+/// first row whose key raises; the keys of the rows before it come back
+/// with that error, for [`join_step`] to raise where the interpreter does.
+fn scalar_side_keys(
+    r: &Runner<'_>,
+    sel: &CSelect,
+    rel: &Rel,
+    keys: &[(ExprId, ExprId)],
+    left_side: bool,
+    outer: Option<&Frame<'_>>,
+) -> (SideKeys, Option<EngineError>) {
+    let key = |row: &[Value]| -> Result<Option<JoinKey>, EngineError> {
+        let frame = Frame { row, parent: outer };
+        let mut tuple = Vec::with_capacity(keys.len());
+        for k in keys {
+            let v = value_key(&r.eval(sel, if left_side { k.0 } else { k.1 }, &frame)?);
+            if v.unmatchable() {
+                return Ok(None);
+            }
+            tuple.push(v);
+        }
+        Ok(Some(match tuple.len() {
+            1 => JoinKey::One(tuple.remove(0)),
+            _ => JoinKey::Many(tuple),
+        }))
+    };
+    let mut out = Vec::with_capacity(rel.len);
+    for i in 0..rel.len {
+        match key(&rel.materialize_row(i)) {
+            Ok(k) => out.push(k),
+            Err(e) => return (SideKeys::Gen(out), Some(e)),
+        }
+    }
+    (SideKeys::Gen(out), None)
+}
+
+/// Build/probe hash join over row ids — the interpreter's structure,
+/// charge points and emission order, on keys [`join_step`] evaluated.
+/// Each key column pairs
 /// into `u64` atoms — numeric columns join directly on key bits,
 /// dictionary-string columns on codes after a once-per-join code→code
 /// translation, and a string column against a numeric column can never
@@ -2212,38 +2273,13 @@ fn tail(
         }
         projected.push((out_row, keys));
     }
-    snails_obs::observe(Obs::EngineOpProjectRows, projected.len() as u64);
-
-    if sel.distinct {
-        let mut seen: HashSet<Vec<HashKey>> = HashSet::new();
-        projected.retain(|(row, _)| seen.insert(row.iter().map(Value::hash_key).collect()));
-    }
-
-    if !sel.order_by.is_empty() {
-        snails_obs::observe(Obs::EngineOpSortRows, projected.len() as u64);
-        projected.sort_by(|(_, ka), (_, kb)| {
-            for (i, (_, desc)) in sel.order_by.iter().enumerate() {
-                let ord = ka[i].total_cmp(&kb[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    let mut out_rows: Vec<Vec<Value>> = projected.into_iter().map(|(row, _)| row).collect();
-    if let Some(n) = sel.top {
-        out_rows.truncate(n as usize);
-    }
     if let Some((_, flat, _)) = group_data {
         r.pool.put_u32(flat);
     }
     if let Some(v) = iota_buf {
         r.pool.put_u32(v);
     }
-    Ok(ResultSet { columns: out_columns.clone(), rows: out_rows })
+    Ok(finish_block(sel, out_columns, projected))
 }
 
 /// Owned grouped-unit layout out of the grouping pass: `(reps, flat,

@@ -46,10 +46,7 @@ pub mod workflows;
 pub use faults::{FailureKind, FaultKind, FaultProfile};
 pub use generate::{infer, GoldQuery, Inference};
 pub use model::{ModelConfig, ModelKind};
-pub use resilience::{
-    run_cell, BreakerPolicy, CellExecution, CellOutcome, CellPlan, CircuitBreaker, Planner,
-    ResilienceConfig, RetryPolicy, SimCosts,
-};
+pub use resilience::{run_cell, CellExecution, CellOutcome, CellPlan, CircuitBreaker, Planner};
 pub use schema_view::{build_prompt, SchemaView};
 pub use workflows::{run_workflow, SubsetOutcome, Workflow, WorkflowResult};
 
@@ -67,7 +64,6 @@ const _: () = {
     assert_shareable::<GoldQuery>();
     assert_shareable::<FaultProfile>();
     assert_shareable::<CellPlan>();
-    assert_shareable::<ResilienceConfig>();
     assert_shareable::<snails_data::SnailsDatabase>();
     assert_shareable::<snails_sql::IdentifierMap>();
 };

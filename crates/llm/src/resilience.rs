@@ -41,61 +41,56 @@ fn fault_metric(kind: FaultKind) -> Obs {
     }
 }
 
-/// Bounded-retry policy with exponential backoff and deterministic jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum attempts per cell (first try + retries).
-    pub max_attempts: u32,
-    /// Backoff before retry #1, in simulated milliseconds.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling, in simulated milliseconds.
-    pub max_backoff_ms: u64,
-    /// Jitter amplitude as a fraction of the backoff (`0.25` ⇒ ±25%).
-    pub jitter: f64,
-}
+/// Attempts per cell: the first try plus up to three retries.
+const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in simulated milliseconds; it doubles
+/// with each further retry.
+const BASE_BACKOFF_MS: u64 = 200;
+/// Backoff ceiling, in simulated milliseconds.
+const MAX_BACKOFF_MS: u64 = 5_000;
+/// Jitter amplitude as a fraction of the backoff (±25 %).
+const JITTER: f64 = 0.25;
+/// Consecutive transient failures that trip a breaker open.
+const BREAKER_THRESHOLD: u32 = 5;
+/// How long a tripped breaker stays open, in simulated milliseconds.
+const BREAKER_COOLDOWN_MS: u64 = 10_000;
+/// Simulated cost of a completed call, in milliseconds.
+const CALL_MS: u64 = 80;
+/// Simulated cost of a call that times out (the full deadline is burned).
+const TIMEOUT_MS: u64 = 1_000;
+/// Simulated cost of a rate-limit rejection (it fails fast).
+const RATE_LIMIT_MS: u64 = 50;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_attempts: 4, base_backoff_ms: 200, max_backoff_ms: 5_000, jitter: 0.25 }
+/// Backoff before the retry following `failed_attempts` failures, before
+/// jitter: `BASE_BACKOFF_MS · 2^(failed_attempts − 1)` capped at
+/// `MAX_BACKOFF_MS`, and 0 before any failure.
+fn nominal_backoff_ms(failed_attempts: u32) -> u64 {
+    if failed_attempts == 0 {
+        return 0;
     }
+    let exp = failed_attempts.saturating_sub(1).min(32);
+    BASE_BACKOFF_MS
+        .saturating_mul(1u64 << exp)
+        .min(MAX_BACKOFF_MS)
 }
 
-impl RetryPolicy {
-    /// Simulated backoff before the retry following `failed_attempts`
-    /// failures: `base · 2^(failed_attempts − 1)` capped at the ceiling,
-    /// scaled by a deterministic jitter factor in `[1 − jitter, 1 + jitter)`
-    /// drawn from `(seed, failed_attempts)`.
-    pub fn backoff_ms(&self, failed_attempts: u32, seed: u64) -> u64 {
-        if failed_attempts == 0 {
-            return 0;
-        }
-        let exp = failed_attempts.saturating_sub(1).min(32);
-        let raw = self.base_backoff_ms.saturating_mul(1u64 << exp).min(self.max_backoff_ms);
-        let u = faults::unit(mix_seed(&["backoff-jitter"], &[seed, u64::from(failed_attempts)]));
-        let factor = 1.0 - self.jitter + 2.0 * self.jitter * u;
-        (raw as f64 * factor).round() as u64
-    }
-}
-
-/// Circuit-breaker thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerPolicy {
-    /// Consecutive transient failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open, in simulated milliseconds.
-    pub cooldown_ms: u64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy { failure_threshold: 5, cooldown_ms: 10_000 }
-    }
+/// Simulated backoff before the retry following `failed_attempts`
+/// failures: the nominal backoff scaled by a deterministic jitter factor
+/// in `[1 − JITTER, 1 + JITTER)` drawn from `(seed, failed_attempts)`.
+fn backoff_ms(failed_attempts: u32, seed: u64) -> u64 {
+    let u = faults::unit(mix_seed(
+        &["backoff-jitter"],
+        &[seed, u64::from(failed_attempts)],
+    ));
+    let factor = 1.0 - JITTER + 2.0 * JITTER * u;
+    (nominal_backoff_ms(failed_attempts) as f64 * factor).round() as u64
 }
 
 /// Circuit-breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Calls flow normally.
+    #[default]
     Closed,
     /// Calls are rejected until the cooldown elapses.
     Open,
@@ -103,14 +98,15 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Per-model circuit breaker on a simulated clock.
+/// Per-model circuit breaker on a simulated clock: it opens after
+/// `BREAKER_THRESHOLD` consecutive transient failures and lets one probe
+/// through (half-open) after `BREAKER_COOLDOWN_MS`.
 ///
 /// Only *transient* faults (timeout, rate limit) count as failures — they
 /// signal vendor distress. Delivered-but-corrupt payloads and panics say
 /// nothing about vendor health and leave the breaker alone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
-    policy: BreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     open_until_ms: u64,
@@ -118,15 +114,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given thresholds.
-    pub fn new(policy: BreakerPolicy) -> Self {
-        CircuitBreaker {
-            policy,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            open_until_ms: 0,
-            trips: 0,
-        }
+    /// A closed breaker.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Current state (after applying any cooldown transition at `now_ms`).
@@ -160,12 +150,12 @@ impl CircuitBreaker {
         self.consecutive_failures += 1;
         let reopen = match self.state {
             BreakerState::HalfOpen => true,
-            BreakerState::Closed => self.consecutive_failures >= self.policy.failure_threshold,
+            BreakerState::Closed => self.consecutive_failures >= BREAKER_THRESHOLD,
             BreakerState::Open => false,
         };
         if reopen {
             self.state = BreakerState::Open;
-            self.open_until_ms = now_ms + self.policy.cooldown_ms;
+            self.open_until_ms = now_ms + BREAKER_COOLDOWN_MS;
             self.trips += 1;
             snails_obs::add(Obs::LlmBreakerTrips, 1);
         }
@@ -175,36 +165,6 @@ impl CircuitBreaker {
     pub fn trips(&self) -> u64 {
         self.trips
     }
-}
-
-/// Simulated wall-clock costs of API interactions, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimCosts {
-    /// A completed call.
-    pub call_ms: u64,
-    /// A call that times out (the full deadline is burned).
-    pub timeout_ms: u64,
-    /// A rate-limit rejection (fails fast).
-    pub rate_limit_ms: u64,
-}
-
-impl Default for SimCosts {
-    fn default() -> Self {
-        SimCosts { call_ms: 80, timeout_ms: 1_000, rate_limit_ms: 50 }
-    }
-}
-
-/// Everything the resilience layer needs to plan a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResilienceConfig {
-    /// Fault rates.
-    pub profile: FaultProfile,
-    /// Retry/backoff parameters.
-    pub retry: RetryPolicy,
-    /// Circuit-breaker thresholds.
-    pub breaker: BreakerPolicy,
-    /// Simulated latencies.
-    pub costs: SimCosts,
 }
 
 /// How a planned cell resolves.
@@ -253,15 +213,20 @@ impl CellPlan {
 /// simulated clock and one circuit breaker per model.
 #[derive(Debug)]
 pub struct Planner {
-    config: ResilienceConfig,
+    profile: FaultProfile,
     clock_ms: u64,
     breakers: BTreeMap<&'static str, CircuitBreaker>,
 }
 
 impl Planner {
-    /// A planner at simulated time zero with all breakers closed.
-    pub fn new(config: ResilienceConfig) -> Self {
-        Planner { config, clock_ms: 0, breakers: BTreeMap::new() }
+    /// A planner drawing faults from `profile`, at simulated time zero
+    /// with all breakers closed.
+    pub fn new(profile: FaultProfile) -> Self {
+        Planner {
+            profile,
+            clock_ms: 0,
+            breakers: BTreeMap::new(),
+        }
     }
 
     /// Current simulated time in milliseconds.
@@ -281,11 +246,7 @@ impl Planner {
     /// thread through consecutive calls.
     pub fn plan_cell(&mut self, model: &'static str, cell_seed: u64) -> CellPlan {
         snails_obs::add(Obs::LlmCellsPlanned, 1);
-        let config = self.config;
-        let breaker = self
-            .breakers
-            .entry(model)
-            .or_insert_with(|| CircuitBreaker::new(config.breaker));
+        let breaker = self.breakers.entry(model).or_default();
         if !breaker.allows(self.clock_ms) {
             snails_obs::add(Obs::LlmCellsSkipped, 1);
             return CellPlan { seed: cell_seed, attempts: 0, outcome: CellOutcome::Skipped };
@@ -297,13 +258,13 @@ impl Planner {
             if attempts > 1 {
                 snails_obs::add(Obs::LlmResilienceRetries, 1);
             }
-            let drawn = config.profile.draw(cell_seed, attempts);
+            let drawn = self.profile.draw(cell_seed, attempts);
             if let Some(kind) = drawn {
                 snails_obs::add(fault_metric(kind), 1);
             }
             match drawn {
                 None => {
-                    self.clock_ms += config.costs.call_ms;
+                    self.clock_ms += CALL_MS;
                     breaker.record_success();
                     return CellPlan {
                         seed: cell_seed,
@@ -315,7 +276,7 @@ impl Planner {
                     // Transport success with a damaged payload: the breaker
                     // sees a delivered call; no retry (a real client cannot
                     // tell garbage from an unfortunate-but-valid answer).
-                    self.clock_ms += config.costs.call_ms;
+                    self.clock_ms += CALL_MS;
                     breaker.record_success();
                     return CellPlan {
                         seed: cell_seed,
@@ -325,18 +286,18 @@ impl Planner {
                 }
                 Some(FaultKind::Panic) => {
                     // The response arrived; the client blows up handling it.
-                    self.clock_ms += config.costs.call_ms;
+                    self.clock_ms += CALL_MS;
                     return CellPlan { seed: cell_seed, attempts, outcome: CellOutcome::Panic };
                 }
                 Some(kind) => {
                     debug_assert!(kind.is_transient());
                     self.clock_ms += match kind {
-                        FaultKind::Timeout => config.costs.timeout_ms,
-                        _ => config.costs.rate_limit_ms,
+                        FaultKind::Timeout => TIMEOUT_MS,
+                        _ => RATE_LIMIT_MS,
                     };
                     breaker.record_failure(self.clock_ms);
                     let opened = !breaker.allows(self.clock_ms);
-                    if attempts >= config.retry.max_attempts || opened {
+                    if attempts >= MAX_ATTEMPTS || opened {
                         snails_obs::add(Obs::LlmCellsExhausted, 1);
                         return CellPlan {
                             seed: cell_seed,
@@ -344,7 +305,7 @@ impl Planner {
                             outcome: CellOutcome::Exhausted(kind.into()),
                         };
                     }
-                    let wait_ms = config.retry.backoff_ms(attempts, cell_seed);
+                    let wait_ms = backoff_ms(attempts, cell_seed);
                     snails_obs::add(Obs::LlmResilienceBackoffMs, wait_ms);
                     self.clock_ms += wait_ms;
                 }
@@ -404,26 +365,24 @@ mod tests {
 
     #[test]
     fn backoff_schedule_doubles_and_caps() {
-        let policy = RetryPolicy { jitter: 0.0, ..Default::default() };
-        assert_eq!(policy.backoff_ms(0, 1), 0);
-        assert_eq!(policy.backoff_ms(1, 1), 200);
-        assert_eq!(policy.backoff_ms(2, 1), 400);
-        assert_eq!(policy.backoff_ms(3, 1), 800);
-        assert_eq!(policy.backoff_ms(4, 1), 1_600);
-        assert_eq!(policy.backoff_ms(5, 1), 3_200);
-        assert_eq!(policy.backoff_ms(6, 1), 5_000, "ceiling");
-        assert_eq!(policy.backoff_ms(60, 1), 5_000, "huge counts stay capped");
+        assert_eq!(nominal_backoff_ms(0), 0);
+        assert_eq!(nominal_backoff_ms(1), 200);
+        assert_eq!(nominal_backoff_ms(2), 400);
+        assert_eq!(nominal_backoff_ms(3), 800);
+        assert_eq!(nominal_backoff_ms(4), 1_600);
+        assert_eq!(nominal_backoff_ms(5), 3_200);
+        assert_eq!(nominal_backoff_ms(6), 5_000, "ceiling");
+        assert_eq!(nominal_backoff_ms(60), 5_000, "huge counts stay capped");
+        assert_eq!(backoff_ms(0, 1), 0, "no backoff before a failure");
     }
 
     #[test]
     fn backoff_jitter_is_bounded_and_deterministic() {
-        let policy = RetryPolicy::default();
         for seed in 0..200u64 {
             for failed in 1..=6u32 {
-                let a = policy.backoff_ms(failed, seed);
-                let b = policy.backoff_ms(failed, seed);
-                assert_eq!(a, b);
-                let nominal = (200u64 << (failed - 1).min(32)).min(5_000) as f64;
+                let a = backoff_ms(failed, seed);
+                assert_eq!(a, backoff_ms(failed, seed));
+                let nominal = nominal_backoff_ms(failed) as f64;
                 assert!(
                     (a as f64) >= nominal * 0.74 && (a as f64) <= nominal * 1.26,
                     "jittered {a} outside ±25% of {nominal}"
@@ -434,44 +393,51 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_and_recovers() {
-        let policy = BreakerPolicy { failure_threshold: 3, cooldown_ms: 1_000 };
-        let mut b = CircuitBreaker::new(policy);
+        let mut b = CircuitBreaker::new();
         assert_eq!(b.state(0), BreakerState::Closed);
-        b.record_failure(10);
-        b.record_failure(20);
-        assert!(b.allows(20), "below threshold stays closed");
-        b.record_failure(30);
-        assert_eq!(b.state(30), BreakerState::Open);
-        assert!(!b.allows(500), "open during cooldown");
+        for t in 1..BREAKER_THRESHOLD {
+            b.record_failure(u64::from(t) * 10);
+        }
+        assert!(b.allows(100), "below threshold stays closed");
+        b.record_failure(100);
+        assert_eq!(b.state(100), BreakerState::Open);
+        assert!(
+            !b.allows(100 + BREAKER_COOLDOWN_MS - 1),
+            "open during cooldown"
+        );
         assert_eq!(b.trips(), 1);
         // Cooldown elapses → half-open probe allowed.
-        assert!(b.allows(1_030));
-        assert_eq!(b.state(1_030), BreakerState::HalfOpen);
+        assert!(b.allows(100 + BREAKER_COOLDOWN_MS));
+        assert_eq!(b.state(100 + BREAKER_COOLDOWN_MS), BreakerState::HalfOpen);
         // Probe succeeds → closed, count reset.
         b.record_success();
-        assert_eq!(b.state(1_031), BreakerState::Closed);
-        b.record_failure(1_040);
-        assert!(b.allows(1_040), "failure count was reset on close");
+        assert_eq!(b.state(100 + BREAKER_COOLDOWN_MS), BreakerState::Closed);
+        b.record_failure(100 + BREAKER_COOLDOWN_MS);
+        assert!(
+            b.allows(100 + BREAKER_COOLDOWN_MS),
+            "failure count was reset on close"
+        );
     }
 
     #[test]
     fn half_open_probe_failure_reopens_immediately() {
-        let policy = BreakerPolicy { failure_threshold: 3, cooldown_ms: 1_000 };
-        let mut b = CircuitBreaker::new(policy);
-        for t in [1, 2, 3] {
-            b.record_failure(t);
+        let mut b = CircuitBreaker::new();
+        for t in 1..=BREAKER_THRESHOLD {
+            b.record_failure(u64::from(t));
         }
-        assert_eq!(b.state(3), BreakerState::Open);
-        assert!(b.allows(2_000));
-        b.record_failure(2_000);
-        assert_eq!(b.state(2_000), BreakerState::Open, "probe failure reopens");
+        let opened = u64::from(BREAKER_THRESHOLD);
+        assert_eq!(b.state(opened), BreakerState::Open);
+        let probe = opened + BREAKER_COOLDOWN_MS;
+        assert!(b.allows(probe));
+        b.record_failure(probe);
+        assert_eq!(b.state(probe), BreakerState::Open, "probe failure reopens");
         assert_eq!(b.trips(), 2);
-        assert!(!b.allows(2_500));
+        assert!(!b.allows(probe + BREAKER_COOLDOWN_MS - 1));
     }
 
     #[test]
     fn inert_profile_plans_every_cell_clean() {
-        let mut planner = Planner::new(ResilienceConfig::default());
+        let mut planner = Planner::new(FaultProfile::NONE);
         for seed in 0..50 {
             let plan = planner.plan_cell("gpt-4o", seed);
             assert_eq!(plan.attempts, 1);
@@ -483,10 +449,8 @@ mod tests {
 
     #[test]
     fn planning_is_deterministic() {
-        let config =
-            ResilienceConfig { profile: FaultProfile::FLAKY, ..Default::default() };
         let run = || {
-            let mut planner = Planner::new(config);
+            let mut planner = Planner::new(FaultProfile::FLAKY);
             (0..2_000u64).map(|s| planner.plan_cell("gpt-4o", s)).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
@@ -494,10 +458,8 @@ mod tests {
 
     #[test]
     fn flaky_planning_produces_retries_and_terminal_failures() {
-        let config =
-            ResilienceConfig { profile: FaultProfile::FLAKY, ..Default::default() };
-        let mut planner = Planner::new(config);
-        // Exhaustion needs max_attempts consecutive transient draws in one
+        let mut planner = Planner::new(FaultProfile::FLAKY);
+        // Exhaustion needs MAX_ATTEMPTS consecutive transient draws in one
         // cell (p ≈ 6.6e-5 under flaky), so sample widely.
         let plans: Vec<CellPlan> =
             (0..200_000u64).map(|s| planner.plan_cell("gpt-4o", s)).collect();
@@ -525,9 +487,7 @@ mod tests {
 
     #[test]
     fn hostile_planning_trips_breakers_and_skips_cells() {
-        let config =
-            ResilienceConfig { profile: FaultProfile::HOSTILE, ..Default::default() };
-        let mut planner = Planner::new(config);
+        let mut planner = Planner::new(FaultProfile::HOSTILE);
         let plans: Vec<CellPlan> =
             (0..5_000u64).map(|s| planner.plan_cell("gpt-4o", s)).collect();
         assert!(planner.breaker_trips() > 0, "hostile must trip the breaker");
@@ -541,12 +501,7 @@ mod tests {
     fn breakers_are_per_model() {
         // Drive one model's breaker open with a hostile profile; a second
         // model planned at the same simulated time must still be allowed.
-        let config = ResilienceConfig {
-            profile: FaultProfile::HOSTILE,
-            breaker: BreakerPolicy { failure_threshold: 2, cooldown_ms: u64::MAX / 2 },
-            ..Default::default()
-        };
-        let mut planner = Planner::new(config);
+        let mut planner = Planner::new(FaultProfile::HOSTILE);
         let mut saw_skip_a = false;
         for seed in 0..2_000u64 {
             let a = planner.plan_cell("model-a", seed);
@@ -561,6 +516,6 @@ mod tests {
                 break;
             }
         }
-        assert!(saw_skip_a, "hostile profile with threshold 2 must skip eventually");
+        assert!(saw_skip_a, "the hostile profile must skip eventually");
     }
 }

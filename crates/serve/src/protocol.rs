@@ -27,8 +27,9 @@ pub use snails_core::checkpoint::fnv1a;
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Rows beyond this cap are dropped from a [`Response::Rows`] body (the
-/// `total_rows` field still reports the full count). Keeps every legal
-/// response comfortably under [`MAX_FRAME`].
+/// `total_rows` field still reports the full count). Rows that would take
+/// the payload past [`MAX_FRAME`] are dropped too
+/// ([`crate::tenant::rows_response`]).
 pub const MAX_RESPONSE_ROWS: usize = 256;
 
 // Request opcodes.
@@ -468,6 +469,24 @@ fn encode_payload_response(resp: &Response, out: &mut Vec<u8>) {
     }
 }
 
+/// Payload bytes of a [`Response::Rows`] frame before its first row: the
+/// opcode, tag, total, column names and row count.
+pub(crate) fn rows_header_len(columns: &[String]) -> usize {
+    1 + 8 + 8 + 4 + columns.iter().map(|c| 4 + c.len()).sum::<usize>() + 4
+}
+
+/// Payload bytes one engine row adds to a [`Response::Rows`] frame, counted
+/// without converting it to [`WireValue`]s.
+pub(crate) fn row_len(row: &[snails_engine::Value]) -> usize {
+    use snails_engine::Value;
+    let value_len = |v: &Value| match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Float(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+    };
+    4 + row.iter().map(value_len).sum::<usize>()
+}
+
 fn frame(payload: Vec<u8>) -> Vec<u8> {
     debug_assert!(!payload.is_empty() && payload.len() <= MAX_FRAME);
     let mut out = Vec::with_capacity(4 + payload.len());
@@ -486,7 +505,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Encode one response as a complete frame (header + payload).
 ///
 /// Every response the server can construct fits in [`MAX_FRAME`]: row
-/// bodies are capped at [`MAX_RESPONSE_ROWS`] and error strings are short.
+/// bodies stop at [`MAX_RESPONSE_ROWS`] rows or before the row that would
+/// pass [`MAX_FRAME`], and error strings are short.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut payload = Vec::new();
     encode_payload_response(resp, &mut payload);

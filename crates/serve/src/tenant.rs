@@ -16,7 +16,10 @@
 //! tenant's life, and no naturalness measures are computed: the `Answer`
 //! frame carries none.
 
-use crate::protocol::{Response, ServeError, TenantStats, WireValue, MAX_RESPONSE_ROWS};
+use crate::protocol::{
+    row_len, rows_header_len, Response, ServeError, TenantStats, WireValue, MAX_FRAME,
+    MAX_RESPONSE_ROWS,
+};
 use snails_core::pipeline::{gold_context, CellInput, EvalContext, GoldContext};
 use snails_data::SnailsDatabase;
 use snails_engine::{Database, ExecLimits, ExecOptions, PlanCache, ResultSet};
@@ -71,7 +74,9 @@ pub struct TenantSpec {
 /// without limit. The shipped workloads stay well under it: the 503 gold
 /// statements of all nine databases plus one predicted statement per
 /// question for each of the five models come to at most 3,018 distinct
-/// statements, and the load suite adds at most 1,000 more.
+/// statements, and the load suite adds at most 1,000 more. No
+/// [`PlanCache`] keeps a statement over 4 KiB, so the bound holds in
+/// bytes too: at most this many plans of at most 4 KiB of SQL each.
 pub const TENANT_PLAN_CAPACITY: usize = 4096;
 
 impl TenantSpec {
@@ -248,17 +253,34 @@ impl Tenant {
     }
 }
 
-/// Flatten a result set to its wire shape, capping the row body at
-/// [`MAX_RESPONSE_ROWS`] while reporting the true total.
+/// Flatten a result set to its wire shape, reporting the true total. The
+/// row body stops at [`MAX_RESPONSE_ROWS`] rows, or before the row that
+/// would take the payload past [`MAX_FRAME`]; rows are sized before any
+/// is copied. When the column names and the first row alone do not fit,
+/// the answer is a typed [`ServeError::Engine`] error.
 pub fn rows_response(tag: u64, rs: &ResultSet) -> Response {
+    let mut len = rows_header_len(&rs.columns);
+    let mut fit = 0;
+    for row in rs.rows.iter().take(MAX_RESPONSE_ROWS) {
+        len += row_len(row);
+        if len > MAX_FRAME {
+            break;
+        }
+        fit += 1;
+    }
+    if fit == 0 && len > MAX_FRAME {
+        let message = format!("result does not fit a {MAX_FRAME}-byte response frame");
+        return Response::Err {
+            tag,
+            error: ServeError::Engine(message),
+        };
+    }
     Response::Rows {
         tag,
         total_rows: rs.rows.len() as u64,
         columns: rs.columns.clone(),
-        rows: rs
-            .rows
+        rows: rs.rows[..fit]
             .iter()
-            .take(MAX_RESPONSE_ROWS)
             .map(|row| row.iter().map(WireValue::from).collect())
             .collect(),
     }

@@ -4,7 +4,9 @@
 
 use snails_engine::{Database, DataType, ExecLimits, TableSchema, Value};
 use snails_serve::load::{run_serial, run_unix_lockstep, DbWorkload, LoadPlan, TenantWorkload};
-use snails_serve::protocol::{encode_response, MAX_FRAME, MAX_RESPONSE_ROWS};
+use snails_serve::protocol::{
+    encode_request, encode_response, FrameReader, Message, MAX_FRAME, MAX_RESPONSE_ROWS,
+};
 use snails_serve::server::{ServeConfig, Server};
 use snails_serve::transport::{InProcClient, UnixClient, UnixServer};
 use snails_serve::{
@@ -527,6 +529,69 @@ fn a_rows_frame_larger_than_the_socket_buffer_arrives_intact_when_read_late() {
     assert_eq!(rows.len(), MAX_RESPONSE_ROWS);
     assert!(encode_response(&got) == expected, "the large frame arrived altered");
     within("stop the listener", move || drop(listener));
+    server.shutdown();
+}
+
+#[test]
+fn rows_frames_stop_before_max_frame_and_an_unfittable_row_is_a_typed_error() {
+    let mut db = Database::new("sales");
+    db.create_table(TableSchema::new("t").column("id", DataType::Int));
+    for id in 0..300 {
+        db.insert("t", vec![Value::Int(id)]).expect("insert");
+    }
+    let spec = TenantSpec {
+        name: "acme".into(),
+        databases: vec![TenantSource::Raw {
+            name: "sales".into(),
+            db: Arc::new(db),
+        }],
+        limits: ExecLimits::guarded(),
+    };
+    let config = ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(config, vec![spec]);
+
+    // An 8 KiB literal on each of 300 rows: 256 rows would encode about
+    // 2.1 MB, so the body stops at the last row that fits.
+    let literal = "x".repeat(8 * 1024);
+    let request = sql_text("acme", &format!("SELECT '{literal}' AS s FROM t"));
+    let frame = encode_response(&server.execute(&request));
+    let payload = frame.len() - 4;
+    assert!(payload <= MAX_FRAME, "payload of {payload} bytes");
+    let mut reader = FrameReader::new();
+    reader.extend(&frame);
+    let decoded = reader.next_message().expect("the client accepts the frame");
+    let Some(Message::Response(Response::Rows {
+        total_rows, rows, ..
+    })) = decoded
+    else {
+        panic!("expected rows, got {decoded:?}");
+    };
+    assert_eq!(total_rows, 300, "total_rows keeps the true count");
+    assert!(rows.len() < MAX_RESPONSE_ROWS, "{} rows", rows.len());
+    let row_bytes = 4 + 5 + literal.len();
+    assert!(payload + row_bytes > MAX_FRAME, "another row would fit");
+
+    // A literal near 1 MiB, in a request frame that fits, projected twice:
+    // not even the first row fits a response frame.
+    let literal = "x".repeat(MAX_FRAME - 200);
+    let request = sql_text(
+        "acme",
+        &format!("SELECT d.s AS a, d.s AS b FROM t CROSS JOIN (SELECT '{literal}' AS s) d"),
+    );
+    assert!(encode_request(&request).len() - 4 <= MAX_FRAME);
+    let response = server.execute(&request);
+    let Response::Err {
+        tag: 3,
+        error: ServeError::Engine(message),
+    } = &response
+    else {
+        let shown = format!("{response:?}");
+        panic!("expected an engine error, got {shown:.200}");
+    };
+    assert!(message.contains("response frame"), "{message}");
     server.shutdown();
 }
 

@@ -10,12 +10,8 @@
 //! cargo run --release --bin experiments -- --telemetry telemetry.json
 //!                                                  # write the benchmark's
 //!                                                  # observability report
-//! cargo run --release --bin experiments -- --ckpt ckpt-dir --shard 0/4
-//!                                                  # checkpoint benchmark cells
-//!                                                  # and run one shard of the grid
 //! ```
 
-use snails_core::checkpoint::{CheckpointSpec, Shard};
 use snails_core::dataset_figures as ds;
 use snails_core::pipeline::{run_benchmark_on, BenchmarkConfig, BenchmarkRun};
 use snails_core::result_figures as rf;
@@ -33,8 +29,6 @@ struct Args {
     threads: Option<usize>,
     fault_profile: FaultProfile,
     telemetry: Option<String>,
-    shard: Shard,
-    ckpt: Option<String>,
 }
 
 /// Every section `main` emits, by flag name (`--fig8` selects "fig8");
@@ -47,7 +41,7 @@ const SECTIONS: [&str; 26] = [
 
 const USAGE: &str = "usage: experiments [--write] [--quick] [--seed N] [--threads N]
                    [--fault-profile none|flaky|hostile] [--telemetry PATH]
-                   [--ckpt DIR] [--shard i/n] [--SECTION]";
+                   [--SECTION]";
 
 /// Report a bad command line with the usage and exit 2, before any run
 /// starts (so `--write` never replaces EXPERIMENTS.md with a bad report).
@@ -65,8 +59,6 @@ fn parse_args() -> Args {
         threads: None,
         fault_profile: FaultProfile::NONE,
         telemetry: None,
-        shard: Shard::FULL,
-        ckpt: None,
     };
     let mut argv = std::env::args().skip(1);
     let value = |flag: &str, argv: &mut dyn Iterator<Item = String>| {
@@ -96,12 +88,6 @@ fn parse_args() -> Args {
                 });
             }
             "--telemetry" => args.telemetry = Some(value("--telemetry", &mut argv)),
-            "--shard" => {
-                let v = value("--shard", &mut argv);
-                args.shard =
-                    Shard::parse(&v).unwrap_or_else(|e| usage_error(&format!("--shard: {e}")));
-            }
-            "--ckpt" => args.ckpt = Some(value("--ckpt", &mut argv)),
             flag => match flag.strip_prefix("--") {
                 Some(section) if SECTIONS.contains(&section) => {
                     args.only = Some(section.to_owned());
@@ -112,9 +98,9 @@ fn parse_args() -> Args {
         }
     }
     // EXPERIMENTS.md is the full report: `--write` must not replace it
-    // with one section, the --quick subset, or one shard's records.
-    if args.write && (args.only.is_some() || args.quick || args.shard != Shard::FULL) {
-        usage_error("--write writes the full report: drop the section flag, --quick and --shard");
+    // with one section or the --quick subset.
+    if args.write && (args.only.is_some() || args.quick) {
+        usage_error("--write writes the full report: drop the section flag and --quick");
     }
     args
 }
@@ -265,8 +251,6 @@ fn main() {
             threads: args.threads,
             fault_profile: args.fault_profile,
             telemetry: args.telemetry.is_some(),
-            shard: args.shard,
-            checkpoint: args.ckpt.as_ref().map(CheckpointSpec::at),
             ..Default::default()
         };
         let r = run_benchmark_on(&collection, &config);
@@ -275,17 +259,6 @@ fn main() {
             started.elapsed(),
             r.records.len()
         );
-        if let Some(stats) = r.checkpoint {
-            eprintln!(
-                "[{:>7.1?}] checkpoint {}: {} restored, {} recomputed, {} corrupt, {} written",
-                started.elapsed(),
-                config.shard.label(),
-                stats.hits,
-                stats.misses,
-                stats.corrupt,
-                stats.written
-            );
-        }
         if let (Some(path), Some(report)) = (&args.telemetry, &r.telemetry) {
             std::fs::write(path, report.to_json()).expect("write telemetry report");
             eprintln!(

@@ -1,10 +1,11 @@
 //! Bad database names and question ids are usage errors at the CLI
 //! boundary: the binary exits 2 with the valid names on stderr instead of
 //! panicking (exit 101) while building a database. The `experiments`
-//! binary likewise exits 2 on a malformed command line, and on `--write`
-//! with a partial report (one section, `--quick`, or one shard), before it
-//! runs anything or writes EXPERIMENTS.md. `snails ask`'s output for a
-//! valid question is pinned too.
+//! binary likewise exits 2 on a malformed command line (the grid's
+//! `--shard` flag belongs to `snails grid`, not to it), and on `--write`
+//! with a partial report (one section or `--quick`), before it runs
+//! anything or writes EXPERIMENTS.md. `snails ask`'s output for a valid
+//! question is pinned too.
 
 use std::process::{Command, Output};
 
