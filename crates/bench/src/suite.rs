@@ -1,6 +1,6 @@
-//! The `snails bench` suite: wall-clock timings for the parallel grid, the
-//! checkpoint layer and the compiled-plan executor, each with the
-//! correctness check it doubles as. Every stage is one JSON line; the
+//! The `snails bench` suite: wall-clock timings for tokenizer training, the
+//! parallel grid, the checkpoint layer and the compiled-plan executor, each
+//! with the correctness check it doubles as. Every stage is one JSON line; the
 //! `snails` binary prints them as they land, wraps them into
 //! `BENCH_engine.json`, and exits non-zero on any failure the suite
 //! reports. `scripts/check.sh` gates the recorded numbers.
@@ -16,6 +16,7 @@ use snails_engine::{
 };
 use snails_llm::{ModelKind, Workflow};
 use snails_naturalness::category::SchemaVariant;
+use snails_tokenize::{BpeTokenizer, TokenizerProfile};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,6 +89,12 @@ fn ms(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
+/// `(median, min, max)` of repeated timings.
+fn spread(v: &mut [f64]) -> (f64, f64, f64) {
+    v.sort_by(f64::total_cmp);
+    (v[v.len() / 2], v[0], v[v.len() - 1])
+}
+
 /// Run every stage, handing each stage line to `progress` as it completes.
 /// `alloc` must be the process's global allocator: the suite turns its
 /// counting on and reads hot-loop allocation deltas from it. A failed
@@ -100,6 +107,7 @@ pub fn run(
     alloc.start_counting();
     let mut out = SuiteOutcome::default();
     let threads = opts.threads;
+    tokenizer_train(&mut out, progress);
 
     // Benchmark grid: the same (database × variant × workflow × question)
     // cells serially and on `threads` workers. The record comparison
@@ -206,6 +214,62 @@ pub fn run(
     guarded_subqueries(&mut out, progress);
     synthetic_join(alloc, &mut out, progress);
     out
+}
+
+/// Tokenizer training: each BPE profile trained afresh `REPS` times,
+/// the profiles interleaved round by round. Every process that scores a
+/// grid cell's naturalness measures trains the GPT-like profile once
+/// (check.sh gates its median), and every training of a profile must learn
+/// the same merges and the same vocabulary ids.
+fn tokenizer_train(out: &mut SuiteOutcome, progress: &mut dyn FnMut(&str)) {
+    const REPS: usize = 5;
+    // (profile, per-training ms, first training, later ones all equal it)
+    let mut legs: Vec<(TokenizerProfile, Vec<f64>, Option<BpeTokenizer>, bool)> =
+        TokenizerProfile::ALL
+            .iter()
+            .map(|&p| (p, Vec::new(), None, true))
+            .collect();
+    for _ in 0..REPS {
+        for (profile, times, first, identical) in &mut legs {
+            let t = Instant::now();
+            let Some(trained) = profile.train() else {
+                continue;
+            };
+            times.push(ms(t));
+            match first {
+                Some(f) => {
+                    *identical &= f.merges() == trained.merges()
+                        && f.vocabulary().iter().eq(trained.vocabulary().iter());
+                }
+                None => *first = Some(trained),
+            }
+        }
+    }
+    let mut all_identical = true;
+    let mut fields = Vec::new();
+    for (profile, times, first, identical) in &mut legs {
+        let Some(first) = first else { continue };
+        let (med, min, max) = spread(times);
+        all_identical &= *identical;
+        fields.push(format!(
+            "\"{}\":{{\"ms_median\":{med:.2},\"ms_min\":{min:.2},\"ms_max\":{max:.2},\
+             \"merges\":{},\"vocab\":{},\"identical\":{identical}}}",
+            profile.display_name(),
+            first.merge_count(),
+            first.vocabulary().len(),
+        ));
+    }
+    out.stage(
+        progress,
+        format!(
+            "{{\"bench\":\"tokenizer_train\",\"reps\":{REPS},\"profiles\":{{{}}}}}",
+            fields.join(",")
+        ),
+    );
+    out.check(
+        all_identical,
+        "tokenizer trainings learned different merges or vocabularies (tokenizer_train)",
+    );
 }
 
 /// Checkpoint layer on the 1280-cell grid: a cold write-through run, a
@@ -428,10 +492,6 @@ fn guarded_subqueries(out: &mut SuiteOutcome, progress: &mut dyn FnMut(&str)) {
         guarded_ms.push(pass(guarded));
         unlimited_ms.push(pass(unlimited));
     }
-    let spread = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        (v[v.len() / 2], v[0], v[v.len() - 1])
-    };
     let (g_med, g_min, g_max) = spread(&mut guarded_ms);
     let (u_med, u_min, u_max) = spread(&mut unlimited_ms);
     out.stage(

@@ -73,14 +73,17 @@ impl TokenizerProfile {
         }
     }
 
-    /// Merge budget for the BPE trainer (ignored for CharLevel).
-    fn merge_budget(&self) -> usize {
-        match self {
+    /// Train this profile's BPE tokenizer afresh on the English corpus;
+    /// `None` for CharLevel, which learns nothing.
+    pub fn train(&self) -> Option<BpeTokenizer> {
+        let merges = match self {
             TokenizerProfile::GptLike => 4000,
             TokenizerProfile::CodeLlamaLike => 2000,
             TokenizerProfile::BisonLike => 800,
-            TokenizerProfile::CharLevel => 0,
-        }
+            TokenizerProfile::CharLevel => return None,
+        };
+        let trainer = BpeTrainer::new(merges).with_name(self.display_name());
+        Some(trainer.train(&corpus::english_training_corpus()))
     }
 }
 
@@ -91,17 +94,13 @@ pub fn tokenizer_for(profile: TokenizerProfile) -> &'static dyn Tokenizer {
     static BISON: OnceLock<BpeTokenizer> = OnceLock::new();
     static CHAR: OnceLock<CharTokenizer> = OnceLock::new();
 
-    fn train(profile: TokenizerProfile) -> BpeTokenizer {
-        let corpus = corpus::english_training_corpus();
-        BpeTrainer::new(profile.merge_budget())
-            .with_name(profile.display_name())
-            .train(&corpus)
-    }
-
+    let bpe = |slot: &'static OnceLock<BpeTokenizer>| -> &'static dyn Tokenizer {
+        slot.get_or_init(|| profile.train().expect("a BPE profile"))
+    };
     match profile {
-        TokenizerProfile::GptLike => GPT.get_or_init(|| train(profile)),
-        TokenizerProfile::CodeLlamaLike => LLAMA.get_or_init(|| train(profile)),
-        TokenizerProfile::BisonLike => BISON.get_or_init(|| train(profile)),
+        TokenizerProfile::GptLike => bpe(&GPT),
+        TokenizerProfile::CodeLlamaLike => bpe(&LLAMA),
+        TokenizerProfile::BisonLike => bpe(&BISON),
         TokenizerProfile::CharLevel => {
             CHAR.get_or_init(|| CharTokenizer::new("canine-char"))
         }
@@ -136,6 +135,33 @@ mod tests {
     fn char_level_is_one_token_per_char() {
         let t = tokenizer_for(TokenizerProfile::CharLevel);
         assert_eq!(t.token_count("AuthorID"), 8);
+    }
+
+    /// Each BPE profile's merge count and the FNV-1a digest of its merges
+    /// earliest first (`left`, NUL, `right`, newline each), as the
+    /// recounting trainer these replace learned them.
+    #[test]
+    fn profiles_learn_the_pinned_merges() {
+        let pinned = [
+            (TokenizerProfile::GptLike, 3298, 0x82e3_4e86_573f_6a82_u64),
+            (TokenizerProfile::CodeLlamaLike, 2000, 0x4607_d569_ac7b_668c),
+            (TokenizerProfile::BisonLike, 800, 0x57e9_d756_60c5_8156),
+        ];
+        for (profile, count, digest) in pinned {
+            let t = profile.train().expect("a BPE profile");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for (l, r) in t.merges() {
+                for b in l.bytes().chain([0]).chain(r.bytes()).chain([b'\n']) {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            assert_eq!(t.merge_count(), count, "{}", profile.display_name());
+            assert_eq!(h, digest, "{} merge digest", profile.display_name());
+            // The corpus's 26 letters, then one token per merge.
+            assert_eq!(t.vocabulary().len(), count + 26, "{}", profile.display_name());
+        }
+        assert!(TokenizerProfile::CharLevel.train().is_none());
     }
 
     #[test]

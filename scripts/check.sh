@@ -229,6 +229,18 @@ assert sub["guarded_ms_median"] <= 2 * sub["unlimited_ms_median"], (
 print(f"    guarded_subqueries {sub['statements']} statements: guarded "
       f"{sub['guarded_ms_median']}ms vs unbudgeted {sub['unlimited_ms_median']}ms "
       f"(median of {sub['reps']}), {sub['replays']} replays")
+# Tokenizer training: every process that scores naturalness measures trains
+# the GPT-like BPE tokenizer once. Five cold trainings of each profile must
+# learn the same merges and vocabulary ids, and the GPT-like median must stay
+# under the ceiling (the recounting trainer took 640-830 ms on 2 vCPUs).
+tok = stages["tokenizer_train"]["profiles"]
+for name, leg in tok.items():
+    assert leg["identical"], f"{name} trainings learned different merges or vocabularies"
+gpt = tok["gpt-bpe"]
+assert gpt["ms_median"] <= 200, (
+    f"GPT-like tokenizer training median {gpt['ms_median']}ms over the 200ms ceiling")
+print(f"    tokenizer_train gpt-bpe median {gpt['ms_median']}ms "
+      f"({gpt['merges']} merges, vocabulary {gpt['vocab']}), identical across trainings")
 ckpt = stages["checkpoint_resume"]
 assert ckpt["identical"], "resume / shard-merge diverged from the cold run"
 assert ckpt["resume_hits"] > 0, "50% resume restored no checkpointed cells"
